@@ -23,6 +23,7 @@ import pytest
 
 from benchmarks.conftest import FUZZ_JOBS, FUZZ_MUTATIONS
 from repro.analysis import render_table
+from repro.campaign import CampaignController
 from repro.fuzz.mutations import MutationArea
 from repro.fuzz.parallel import ParallelCampaign
 from repro.fuzz.testcase import plan_test_cases
@@ -60,10 +61,10 @@ def table1(boot_experiment, cpu_experiment, idle_experiment):
             experiment.session.trace, list(TABLE_REASONS),
             n_mutations=FUZZ_MUTATIONS, rng=random.Random(7),
         )
-        outcome = ParallelCampaign(
+        outcome = CampaignController(ParallelCampaign(
             experiment.session.trace, experiment.session.snapshot,
             cases, campaign_seed=0xF0 + len(grid), jobs=FUZZ_JOBS,
-        ).run()
+        )).run()
         assert not outcome.abandoned_cells
         grid[name] = {
             (result.exit_reason, result.area): result
@@ -212,10 +213,10 @@ def test_table1_serial_and_parallel_paths_agree(
         cpu_experiment, (ExitReason.RDTSC, ExitReason.CPUID),
         min(FUZZ_MUTATIONS, 200),
     )
-    run = lambda jobs: ParallelCampaign(
+    run = lambda jobs: CampaignController(ParallelCampaign(
         cpu_experiment.session.trace, cpu_experiment.session.snapshot,
         cases, campaign_seed=0xF1, jobs=jobs,
-    ).run()
+    )).run()
     serial, parallel = run(1), run(2)
     assert serial.results == parallel.results
     assert serial.merged_coverage() == parallel.merged_coverage()
@@ -240,11 +241,11 @@ def test_table1_parallel_speedup(cpu_experiment, benchmark):
 
     def timed(jobs):
         start = time.perf_counter()
-        outcome = ParallelCampaign(
+        outcome = CampaignController(ParallelCampaign(
             cpu_experiment.session.trace,
             cpu_experiment.session.snapshot,
             cases, campaign_seed=0xF2, jobs=jobs,
-        ).run()
+        )).run()
         return time.perf_counter() - start, outcome
 
     serial_s, serial = timed(1)

@@ -29,6 +29,7 @@ from repro.analysis import (
     render_table,
     vmwrite_fitting,
 )
+from repro.core.tracestore import write_trace
 
 
 #: Overridable so the test suite can smoke-run with a tiny budget.
@@ -86,10 +87,10 @@ def main() -> None:
     print("CR0 operating-mode ladder (Fig. 8): "
           + " -> ".join(m.name for m in modes))
 
-    # Persist and reload the trace (the binary seed format).
+    # Persist and reload the trace (the streaming IRISTRC2 format).
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "os-boot.iris"
-        trace.save(path)
+        write_trace(trace, path)
         reloaded = Trace.load(path)
         print(f"\ntrace file: {path.stat().st_size:,} bytes for "
               f"{len(reloaded)} seeds "

@@ -3,8 +3,9 @@
 
 1. record a CPU-bound VM behavior on a booted guest;
 2. plan test cases over the Table I exit reasons x {VMCS, GPR};
-3. for each case, replay up to the target seed (reaching a valid VM
-   state), then submit single bit-flip mutations of it;
+3. run the cases as one campaign through the campaign controller:
+   each case replays up to its target seed (reaching a valid VM
+   state), then submits single bit-flip mutations of it;
 4. report newly discovered coverage, crash rates, and the crash-triage
    artifacts the fuzzer keeps.
 
@@ -15,8 +16,10 @@ import os
 import random
 from collections import Counter
 
-from repro import IrisManager, IrisFuzzer
+from repro import IrisManager
 from repro.analysis import render_table
+from repro.campaign import CampaignController
+from repro.fuzz.parallel import ParallelCampaign
 from repro.fuzz.testcase import plan_test_cases
 from repro.vmx import ExitReason
 
@@ -46,14 +49,13 @@ def main() -> None:
     print(f"planned {len(cases)} test cases "
           f"({MUTATIONS_PER_CASE} mutations each)\n")
 
-    fuzzer = IrisFuzzer(manager, rng=random.Random(1))
+    outcome = CampaignController(ParallelCampaign(
+        session.trace, session.snapshot, cases, campaign_seed=1,
+    )).run()
     rows = []
     causes: Counter[str] = Counter()
     sample = None
-    for case in cases:
-        result = fuzzer.run_test_case(
-            case, from_snapshot=session.snapshot
-        )
+    for result in outcome.results:
         if sample is None and result.failures:
             sample = result.failures[0]
         rows.append((

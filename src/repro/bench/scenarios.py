@@ -233,6 +233,7 @@ def fuzz_exec_svm(params: dict[str, int]) -> IterationOutcome:
 
 def campaign_merge(params: dict[str, int]) -> IterationOutcome:
     """Sharded campaign through the inline (jobs=1) hermetic path."""
+    from repro.campaign import CampaignController
     from repro.fuzz.parallel import ParallelCampaign
 
     manager = IrisManager(arch="vmx")
@@ -247,7 +248,7 @@ def campaign_merge(params: dict[str, int]) -> IterationOutcome:
         shards_per_cell=params["shards"],
     )
     start = time.perf_counter()
-    outcome = campaign.run()
+    outcome = CampaignController(campaign).run()
     wall = time.perf_counter() - start
     tallies = outcome.crash_tallies()
     checks: dict[str, object] = {
@@ -305,7 +306,7 @@ def campaign_checkpoint(params: dict[str, int]) -> IterationOutcome:
         )
 
     start = time.perf_counter()
-    plain = engine().run()
+    plain = CampaignController(engine()).run()
     plain_wall = time.perf_counter() - start
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -378,11 +379,12 @@ def differential_fuzz(params: dict[str, int]) -> IterationOutcome:
     records the oracle's wall overhead against a non-differential run
     of the identical campaign.
     """
+    from repro.campaign import CampaignController
     from repro.fuzz.differential import (
         iter_divergences,
         render_divergence_report,
     )
-    from repro.fuzz.parallel import ParallelCampaign
+    from repro.fuzz.parallel import CampaignResult, ParallelCampaign
 
     manager = IrisManager(arch="vmx")
     session = _record(manager, params["exits"])
@@ -391,21 +393,21 @@ def differential_fuzz(params: dict[str, int]) -> IterationOutcome:
         n_mutations=params["mutations"], rng=random.Random(0),
     )
 
-    def engine(jobs: int, differential: bool) -> ParallelCampaign:
-        return ParallelCampaign(
+    def run(jobs: int, differential: bool) -> CampaignResult:
+        return CampaignController(ParallelCampaign(
             session.trace, session.snapshot, cases,
             campaign_seed=0, jobs=jobs, arch="vmx",
             differential=differential,
-        )
+        )).run()
 
     start = time.perf_counter()
-    plain = engine(1, False).run()
+    plain = run(1, False)
     plain_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    serial = engine(1, True).run()
+    serial = run(1, True)
     serial_wall = time.perf_counter() - start
-    pooled = engine(2, True).run()
+    pooled = run(2, True)
 
     def report(outcome) -> str:
         return render_divergence_report(
@@ -467,11 +469,12 @@ def remote_wave(params: dict[str, int]) -> IterationOutcome:
     info records the wire volume and the transport's wall overhead.
     """
     from repro.campaign import (
+        CampaignController,
         SocketTransport,
         WorkerServer,
         WorkerTransport,
     )
-    from repro.fuzz.parallel import ParallelCampaign
+    from repro.fuzz.parallel import CampaignResult, ParallelCampaign
 
     manager = IrisManager(arch="vmx")
     session = _record(manager, params["exits"])
@@ -480,17 +483,17 @@ def remote_wave(params: dict[str, int]) -> IterationOutcome:
         n_mutations=params["mutations"], rng=random.Random(0),
     )
 
-    def engine(
+    def run(
         transport: WorkerTransport | None = None,
-    ) -> ParallelCampaign:
-        return ParallelCampaign(
+    ) -> CampaignResult:
+        return CampaignController(ParallelCampaign(
             session.trace, session.snapshot, cases,
             campaign_seed=0, jobs=1,
             shards_per_cell=params["shards"], transport=transport,
-        )
+        )).run()
 
     start = time.perf_counter()
-    local = engine().run()
+    local = run()
     local_wall = time.perf_counter() - start
 
     with WorkerServer(heartbeat_interval=0.2) as server:
@@ -498,7 +501,7 @@ def remote_wave(params: dict[str, int]) -> IterationOutcome:
             [server.address], backoff_base=0.01,
         )
         start = time.perf_counter()
-        remote = engine(transport).run()
+        remote = run(transport)
         remote_wall = time.perf_counter() - start
 
     tallies = remote.crash_tallies()
@@ -589,25 +592,29 @@ def smart_mutation(params: dict[str, int]) -> IterationOutcome:
             transport=transport,
         )
 
-    poc = campaign(session, plan(session, "poc")).run()
+    poc = CampaignController(campaign(session, plan(session, "poc"))).run()
     smart_cases = plan(session, "smart")
     start = time.perf_counter()
-    smart = campaign(session, smart_cases).run()
+    smart = CampaignController(campaign(session, smart_cases)).run()
     smart_wall = time.perf_counter() - start
-    smart_jobs2 = campaign(session, smart_cases, jobs=2).run()
+    smart_jobs2 = CampaignController(
+        campaign(session, smart_cases, jobs=2)
+    ).run()
 
     svm_cases = plan(svm_session, "smart")
-    svm_serial = campaign(svm_session, svm_cases, arch="svm").run()
-    svm_pooled = campaign(
-        svm_session, svm_cases, jobs=2, arch="svm"
+    svm_serial = CampaignController(
+        campaign(svm_session, svm_cases, arch="svm")
+    ).run()
+    svm_pooled = CampaignController(
+        campaign(svm_session, svm_cases, jobs=2, arch="svm")
     ).run()
 
     with WorkerServer(heartbeat_interval=0.2) as server:
         transport = SocketTransport(
             [server.address], backoff_base=0.01,
         )
-        remote = campaign(
-            session, smart_cases, transport=transport
+        remote = CampaignController(
+            campaign(session, smart_cases, transport=transport)
         ).run()
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`CampaignStore` — SQLite-backed, schema-versioned persistence
   with transactional per-wave checkpoints.
-* :class:`CampaignController` — wave scheduling over the warm
+* :class:`CampaignController` — the one way a campaign runs: wave
+  scheduling over the warm
   :class:`repro.fuzz.parallel.ParallelCampaign` pool, with exact
   resume from a store.
 * :class:`CampaignConfig` — the campaign's deterministic identity.
@@ -18,7 +19,6 @@ Public surface:
 from repro.campaign.controller import (
     CampaignController,
     CampaignInterrupted,
-    ControlledCampaignResult,
     plan_waves,
 )
 from repro.campaign.store import (
@@ -44,7 +44,6 @@ __all__ = [
     "CampaignInterrupted",
     "CampaignStore",
     "ChaosSpec",
-    "ControlledCampaignResult",
     "LocalPoolTransport",
     "SocketTransport",
     "StoredWave",

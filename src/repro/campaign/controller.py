@@ -1,12 +1,15 @@
-"""Campaign controller: wave scheduling over the parallel engine.
+"""Campaign controller: the one way a fuzzing campaign runs.
 
-The control plane the ROADMAP asks for: instead of one monolithic
-:meth:`ParallelCampaign.run`, the controller partitions the campaign's
-cells into fixed-size **waves**, runs each wave on the engine's warm
-worker pool, and (when given a :class:`CampaignStore`) checkpoints the
-wave transactionally before moving on.  A later run pointed at the
-same store with ``resume=True`` reloads every committed wave and
-continues from the first uncommitted one.
+Every campaign — the ``iris-fuzz`` CLI at any ``--jobs``, the bench
+scenarios, the tests — runs through :meth:`CampaignController.run`,
+which drives :meth:`ParallelCampaign.run_wave` on the engine's warm
+worker pool.  Waves exist only so they can be checkpointed: without a
+store the whole plan runs as a single wave (so every worker of the
+pool gets work); with a :class:`CampaignStore` the cells are
+partitioned into fixed-size waves, each committed transactionally
+before the next starts.  A later run pointed at the same store with
+``resume=True`` reloads every committed wave and continues from the
+first uncommitted one.
 
 Why resume is exact
 -------------------
@@ -34,7 +37,6 @@ byte-identical to the uninterrupted run's.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from repro.errors import IrisError, StoreMismatchError
 from repro.campaign.store import CampaignConfig, CampaignStore
@@ -63,16 +65,6 @@ class CampaignInterrupted(IrisError):
         self.wave_index = wave_index
 
 
-@dataclass
-class ControlledCampaignResult(CampaignResult):
-    """A :class:`CampaignResult` plus control-plane bookkeeping."""
-
-    #: Total waves in the campaign's plan.
-    waves_total: int = 0
-    #: Waves reloaded from the store rather than executed.
-    waves_resumed: int = 0
-
-
 def plan_waves(n_cells: int, wave_size: int) -> list[list[int]]:
     """Partition cell indices into consecutive fixed-size waves.
 
@@ -92,11 +84,11 @@ def plan_waves(n_cells: int, wave_size: int) -> list[list[int]]:
 class CampaignController:
     """Drive a :class:`ParallelCampaign` wave by wave, checkpointing.
 
-    Without a store this is a pure re-chunking of
-    :meth:`ParallelCampaign.run` and produces the identical merged
-    result (the equivalence test pins this).  With a store, each wave
-    commits before the next starts, and :meth:`run` with
-    ``resume=True`` continues a previously interrupted campaign.
+    Without a store the whole plan is one wave and ``wave_size`` is
+    unused.  With a store, each ``wave_size``-cell wave commits before
+    the next starts, and :meth:`run` with ``resume=True`` continues a
+    previously interrupted campaign.  Either way the merged result is
+    identical (the equivalence test pins this).
     """
 
     def __init__(
@@ -132,9 +124,16 @@ class CampaignController:
             extra=self.config_extra,
         )
 
-    def run(self, *, resume: bool = False) -> ControlledCampaignResult:
+    def run(self, *, resume: bool = False) -> CampaignResult:
         started = time.perf_counter()
-        waves = plan_waves(len(self.engine.cases), self.wave_size)
+        n_cells = len(self.engine.cases)
+        # Waves exist only so a store can checkpoint them; without one
+        # the whole plan is a single wave, so every pool worker gets
+        # work at once.
+        waves = plan_waves(
+            n_cells,
+            self.wave_size if self.store is not None else max(n_cells, 1),
+        )
         start_wave = self._prepare_store(resume, len(waves))
         # Results are transport-independent (the differential suite
         # pins byte-identity local vs socket), so the transport is
@@ -191,7 +190,7 @@ class CampaignController:
             )
 
         stats.wall_seconds = time.perf_counter() - started
-        return ControlledCampaignResult(
+        return CampaignResult(
             results=[results[i] for i in sorted(results)],
             stats=stats,
             abandoned_cells=sorted(abandoned),

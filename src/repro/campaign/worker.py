@@ -160,18 +160,26 @@ class WorkerServer:
             self._accept_thread.join()
 
     def stop(self) -> None:
-        """Stop accepting and sever every live connection (idempotent)."""
+        """Stop accepting and sever every live connection (idempotent).
+
+        ``close()`` alone does not wake a thread blocked in
+        ``accept()``/``recv()`` on the same socket, so every socket is
+        shut down first: that returns the blocked call at once and the
+        accept thread exits instead of outliving the join timeout.
+        """
         self._stopping = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
         with self._lock:
             connections = list(self._connections)
-        for conn in connections:
+        sockets = [self._listener, *connections]
+        for sock in sockets:
+            if sock is None:
+                continue
             try:
-                conn.close()
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never connected, or already shut down
+            try:
+                sock.close()
             except OSError:
                 pass
         if (

@@ -76,14 +76,13 @@ def _cmd_record(args) -> int:
             args.workload, n_exits=args.exits,
             precondition=_resolve_precondition(args),
             workload_seed=args.seed,
-            spool_to=args.output if args.spool else None,
+            spool_to=args.output,
         )
-    if not args.spool:
-        session.trace.save(args.output)
     print(f"recorded {len(session.trace)} exits "
           f"({session.wall_seconds:.3f} simulated s) -> {args.output}")
-    # With --spool this histogram is answered from the trace file's
-    # footer index alone — no record payload is decoded.
+    # The trace streamed to OUTPUT as IRISTRC2, so this histogram is
+    # answered from the file's footer index alone — no record payload
+    # is decoded.
     print(render_histogram(session.trace.reason_histogram(),
                            title="Exit reasons"))
     return 0
@@ -263,13 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     record = sub.add_parser("record", help="record a VM behavior")
     _add_record_options(record)
-    record.add_argument("-o", "--output", required=True,
-                        help="trace file to write")
     record.add_argument(
-        "--spool", action="store_true",
-        help="stream records to OUTPUT as they arrive (IRISTRC2 "
-             "format, bounded recording memory) instead of "
-             "materializing the trace in RAM first",
+        "-o", "--output", required=True,
+        help="trace file to write; records stream to it as they "
+             "arrive (IRISTRC2 format, bounded recording memory)",
     )
     add_obs_options(record)
 

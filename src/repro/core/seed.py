@@ -480,7 +480,10 @@ class Trace:
         (name_len,) = struct.unpack_from("<H", view, 8)
         if len(view) < 10 + name_len:
             raise SeedFormatError("truncated trace header")
-        workload = bytes(view[10:10 + name_len]).decode()
+        try:
+            workload = bytes(view[10:10 + name_len]).decode()
+        except UnicodeDecodeError as exc:
+            raise SeedFormatError(f"bad workload name: {exc}") from exc
         offset = 10 + name_len
         if len(view) - offset < 4:
             raise SeedFormatError("truncated trace header")

@@ -32,7 +32,7 @@ Two entry points:
   batch is encoded and written through buffered I/O, so recording
   memory is O(flush batch), not O(trace) (the index rides along at 18
   bytes/record).  :class:`~repro.core.record.Recorder` uses it for
-  spool mode (``iris record --spool``).
+  spool mode, which every ``iris record`` runs in.
 * :class:`TraceReader` — the lazy consumer.  The file is mmapped once;
   ``len()``, ``reasons()`` and ``reason_histogram()`` are answered
   from the footer index without touching a single payload byte (the
@@ -112,6 +112,15 @@ class TraceLike(Protocol):
 
 
 # ---- binary metrics codec --------------------------------------------
+
+
+#: Encoded size of one (field index, value) vmwrite pair and of one
+#: (name id, line) coverage pair.  Decoders check ``count x size``
+#: against the bytes left *before* building a count-sized struct, so
+#: a hostile count can neither allocate a huge format string nor pin
+#: one in the caches below.
+_VMWRITE_SIZE = struct.calcsize("<HQ")
+_COVERAGE_PAIR_SIZE = struct.calcsize("<II")
 
 
 @lru_cache(maxsize=1024)
@@ -246,8 +255,8 @@ def unpack_metrics(
     offset = _U16.size
     vmwrites: list[tuple[object, int]] = []
     if n_writes:
+        need(offset, n_writes * _VMWRITE_SIZE)
         writes_struct = _vmwrites_struct(n_writes)
-        need(offset, writes_struct.size)
         flat = writes_struct.unpack_from(view, offset)
         offset += writes_struct.size
         try:
@@ -262,8 +271,8 @@ def unpack_metrics(
     offset += _U32.size
     coverage: frozenset[tuple[str, int]] = frozenset()
     if n_coverage:
+        need(offset, n_coverage * _COVERAGE_PAIR_SIZE)
         coverage_struct = _coverage_struct(n_coverage)
-        need(offset, coverage_struct.size)
         flat = coverage_struct.unpack_from(view, offset)
         offset += coverage_struct.size
         try:

@@ -59,7 +59,6 @@ from repro.fuzz.parallel import (
     ShardTask,
     WorkerFault,
     derive_shard_seed,
-    run_parallel_campaign,
     split_mutations,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "ShardTask",
     "WorkerFault",
     "derive_shard_seed",
-    "run_parallel_campaign",
     "split_mutations",
     "CoverageGuidedFuzzer",
     "GuidedCampaignReport",

@@ -14,12 +14,25 @@ import sys
 
 from repro.analysis import render_table
 from repro.arch.backend import BACKEND_NAMES
+from repro.campaign import (
+    CampaignController,
+    CampaignInterrupted,
+    CampaignStore,
+    SocketTransport,
+    parse_worker_address,
+)
 from repro.core.manager import IrisManager
-from repro.fuzz.fuzzer import IrisFuzzer
+from repro.errors import (
+    CampaignStoreError,
+    CorruptStoreError,
+    StoreMismatchError,
+)
 from repro.fuzz.mutation_engine import ENGINE_NAMES
 from repro.fuzz.mutations import MUTATION_RULES, MutationArea
+from repro.fuzz.parallel import ParallelCampaign
 from repro.fuzz.testcase import plan_test_cases
 from repro.guest.workloads import WorkloadName
+from repro.obs import flight_summary
 from repro.obs.cliobs import add_obs_options, cli_observability
 from repro.vmx.exit_reasons import ExitReason
 
@@ -105,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "-j", "--jobs", type=int, default=1,
-        help="worker processes for the campaign; 1 (default) keeps "
-             "the classic serial path.  Results are independent of "
-             "the worker count: each cell's RNG is derived from "
+        help="worker processes for the campaign (default 1: shards "
+             "run in this process).  Results are independent of the "
+             "worker count: each cell's RNG is derived from "
              "(campaign seed, cell index), so --jobs only changes "
              "wall-clock time.",
     )
@@ -149,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--wave-size", type=int, default=1,
-        help="cells per checkpointed wave (default 1); purely a "
-             "checkpoint-granularity knob — results are identical "
-             "for any value",
+        help="cells per checkpointed wave (default 1; used only "
+             "with --store); purely a checkpoint-granularity knob — "
+             "results are identical for any value",
     )
     group.add_argument(
         # Fault-injection hook for the crash-recovery test suite:
@@ -180,9 +193,6 @@ def _restore_stored_args(args: argparse.Namespace) -> bool | None:
     the campaign's deterministic identity.  Returns the stored
     ``collect_metrics`` flag.
     """
-    from repro.campaign import CampaignStore
-    from repro.errors import CorruptStoreError, StoreMismatchError
-
     with CampaignStore(args.store) as probe:
         if not probe.initialized:
             raise StoreMismatchError(
@@ -258,8 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     worker_addresses: list[str] = []
     if args.workers:
-        from repro.campaign import parse_worker_address
-
         worker_addresses = [
             spec.strip()
             for spec in args.workers.split(",") if spec.strip()
@@ -276,8 +284,6 @@ def main(argv: list[str] | None = None) -> int:
 
     stored_collect_metrics: bool | None = None
     if args.resume:
-        from repro.errors import CampaignStoreError, StoreMismatchError
-
         try:
             stored_collect_metrics = _restore_stored_args(args)
         except StoreMismatchError as exc:
@@ -347,137 +353,97 @@ def main(argv: list[str] | None = None) -> int:
             if case.mutation_rule != args.rule:
                 object.__setattr__(case, "mutation_rule", args.rule)
 
-        campaign_stats = None
-        campaign_metrics = None
-        # Observability and persistence always go through the campaign
-        # engine, even at --jobs 1: shards run hermetically there, so
-        # the merged metrics snapshot is identical for every worker
-        # count (the jobs-invariance the golden tests pin) and wave
-        # checkpoints are well-defined.  Without obs or a store, jobs=1
-        # keeps the classic serial path.
-        use_campaign = (
-            args.jobs > 1 or args.shards_per_cell > 1
-            or obs is not None or args.store is not None
-            or args.wave_size > 1 or bool(worker_addresses)
-            or args.differential
+        def report(event):
+            kind, payload = event
+            if kind == "shard-completed":
+                case = cases[payload.cell_index]
+                print(
+                    f"  [{payload.cell_index + 1}/{len(cases)}] "
+                    f"{case.exit_reason.name}/{case.area.value} "
+                    f"shard {payload.shard_index}: "
+                    f"{payload.mutations_run} mutations in "
+                    f"{payload.duration_seconds:.2f}s "
+                    f"({payload.mutations_per_second:.0f} mut/s)"
+                )
+            else:
+                print(f"  !! {kind}: {payload.describe()}")
+
+        # Every run goes through the campaign controller — any
+        # --jobs, with or without observability or a store — so none
+        # of those flags can change a result byte.
+        collect_metrics = (
+            stored_collect_metrics
+            if stored_collect_metrics is not None
+            else obs is not None and obs.wants_metrics
         )
-        if use_campaign:
-            from repro.campaign import (
-                CampaignController,
-                CampaignInterrupted,
-                CampaignStore,
+        transport = None
+        if worker_addresses:
+            transport = SocketTransport(worker_addresses)
+            print(
+                f"waves run on {transport.describe()} "
+                "(results identical to a local run)"
             )
-            from repro.errors import (
-                CampaignStoreError,
-                StoreMismatchError,
+        engine = ParallelCampaign(
+            session.trace, session.snapshot, cases,
+            campaign_seed=args.seed, jobs=args.jobs,
+            shards_per_cell=args.shards_per_cell, on_event=report,
+            arch=args.arch,
+            collect_metrics=collect_metrics,
+            fast_reset=args.fast_reset,
+            differential=args.differential,
+            transport=transport,
+        )
+        store = (
+            CampaignStore(args.store) if args.store is not None else None
+        )
+        controller = CampaignController(
+            engine, store,
+            wave_size=args.wave_size,
+            config_extra=(
+                ("area", args.area),
+                ("exits", str(args.exits)),
+                ("mutations", str(args.mutations)),
+                ("reasons", ",".join(r.name for r in reasons)),
+                ("rule", args.rule),
+                ("seed", str(args.seed)),
+                ("workload", args.workload),
+            ),
+            crash_after_wave=args.crash_after_wave,
+        )
+        try:
+            outcome = controller.run(resume=args.resume)
+        except CampaignInterrupted as exc:
+            print(
+                f"campaign status: aborted — {exc}; completed "
+                f"waves are saved, continue with "
+                f"--store {args.store} --resume"
             )
-            from repro.fuzz.parallel import ParallelCampaign
-
-            def report(event):
-                kind, payload = event
-                if kind == "shard-completed":
-                    case = cases[payload.cell_index]
-                    print(
-                        f"  [{payload.cell_index + 1}/{len(cases)}] "
-                        f"{case.exit_reason.name}/{case.area.value} "
-                        f"shard {payload.shard_index}: "
-                        f"{payload.mutations_run} mutations in "
-                        f"{payload.duration_seconds:.2f}s "
-                        f"({payload.mutations_per_second:.0f} mut/s)"
-                    )
-                else:
-                    print(f"  !! {kind}: {payload.describe()}")
-
-            collect_metrics = (
-                stored_collect_metrics
-                if stored_collect_metrics is not None
-                else obs is not None and obs.wants_metrics
+            return EXIT_ABORTED
+        except StoreMismatchError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_USAGE
+        except CampaignStoreError as exc:
+            print(f"campaign status: aborted — {exc}", file=sys.stderr)
+            return EXIT_ABORTED
+        finally:
+            if store is not None:
+                store.close()
+        if outcome.waves_resumed:
+            print(
+                f"resumed: {outcome.waves_resumed}/"
+                f"{outcome.waves_total} wave(s) restored from "
+                f"{args.store}"
             )
-            transport = None
-            if worker_addresses:
-                from repro.campaign import SocketTransport
-
-                transport = SocketTransport(worker_addresses)
-                print(
-                    f"waves run on {transport.describe()} "
-                    "(results identical to a local run)"
-                )
-            engine = ParallelCampaign(
-                session.trace, session.snapshot, cases,
-                campaign_seed=args.seed, jobs=args.jobs,
-                shards_per_cell=args.shards_per_cell, on_event=report,
-                arch=args.arch,
-                collect_metrics=collect_metrics,
-                fast_reset=args.fast_reset,
-                differential=args.differential,
-                transport=transport,
+        results = outcome.results
+        if obs is not None:
+            obs.add_snapshot(outcome.metrics)
+        for cell_index in outcome.abandoned_cells:
+            case = cases[cell_index]
+            print(
+                f"cell {case.exit_reason.name}/{case.area.value} "
+                "abandoned after retry — excluded from the table",
+                file=sys.stderr,
             )
-            store = (
-                CampaignStore(args.store)
-                if args.store is not None else None
-            )
-            controller = CampaignController(
-                engine, store,
-                wave_size=args.wave_size,
-                config_extra=(
-                    ("area", args.area),
-                    ("exits", str(args.exits)),
-                    ("mutations", str(args.mutations)),
-                    ("reasons", ",".join(r.name for r in reasons)),
-                    ("rule", args.rule),
-                    ("seed", str(args.seed)),
-                    ("workload", args.workload),
-                ),
-                crash_after_wave=args.crash_after_wave,
-            )
-            try:
-                outcome = controller.run(resume=args.resume)
-            except CampaignInterrupted as exc:
-                print(
-                    f"campaign status: aborted — {exc}; completed "
-                    f"waves are saved, continue with "
-                    f"--store {args.store} --resume"
-                )
-                return EXIT_ABORTED
-            except StoreMismatchError as exc:
-                print(str(exc), file=sys.stderr)
-                return EXIT_USAGE
-            except CampaignStoreError as exc:
-                print(
-                    f"campaign status: aborted — {exc}",
-                    file=sys.stderr,
-                )
-                return EXIT_ABORTED
-            finally:
-                if store is not None:
-                    store.close()
-            if outcome.waves_resumed:
-                print(
-                    f"resumed: {outcome.waves_resumed}/"
-                    f"{outcome.waves_total} wave(s) restored from "
-                    f"{args.store}"
-                )
-            campaign_stats = outcome.stats
-            campaign_metrics = outcome.metrics
-            results = outcome.results
-            if obs is not None:
-                obs.add_snapshot(outcome.metrics)
-            for cell_index in outcome.abandoned_cells:
-                case = cases[cell_index]
-                print(
-                    f"cell {case.exit_reason.name}/{case.area.value} "
-                    "abandoned after retry — excluded from the table",
-                    file=sys.stderr,
-                )
-        else:
-            fuzzer = IrisFuzzer(manager, rng=rng,
-                                fast_reset=args.fast_reset)
-            results = [
-                fuzzer.run_test_case(
-                    case, from_snapshot=session.snapshot
-                )
-                for case in cases
-            ]
 
     rows = []
     total_crashes = 0
@@ -504,13 +470,10 @@ def main(argv: list[str] | None = None) -> int:
                  else ")"),
     ))
     print(f"total failures observed: {total_crashes}")
-    if campaign_stats is not None:
-        print(f"campaign stats: {campaign_stats.describe()}")
-    if campaign_metrics is not None:
-        from repro.obs import flight_summary
-
+    print(f"campaign stats: {outcome.stats.describe()}")
+    if outcome.metrics is not None:
         print()
-        print(flight_summary(campaign_metrics))
+        print(flight_summary(outcome.metrics))
     if obs is not None:
         if obs.metrics_path:
             print(f"metrics snapshot -> {obs.metrics_path}")

@@ -433,16 +433,3 @@ class IrisFuzzer:
         return frozenset(
             t for t in lines if t[0] not in NOISE_FILES
         )
-
-    # ---- campaigns -------------------------------------------------------
-
-    def run_campaign(
-        self,
-        cases: list[FuzzTestCase],
-        from_snapshot: VmSnapshot | None = None,
-    ) -> list[FuzzResult]:
-        """Run a list of test cases (a Table I row/column sweep)."""
-        return [
-            self.run_test_case(case, from_snapshot=from_snapshot)
-            for case in cases
-        ]

@@ -66,7 +66,6 @@ reassigning a shard from a dead remote worker to a surviving one.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing.pool
 import random
 import time
 from dataclasses import dataclass, field
@@ -271,7 +270,8 @@ class CampaignStats:
 
 @dataclass
 class CampaignResult:
-    """Merged outcome of a (possibly parallel) fuzzing campaign."""
+    """Merged outcome of a fuzzing campaign (what
+    :meth:`repro.campaign.CampaignController.run` returns)."""
 
     results: list[FuzzResult]
     stats: CampaignStats
@@ -280,6 +280,10 @@ class CampaignResult:
     #: of abandoned cells excluded, mirroring ``results``).  ``None``
     #: unless the campaign ran with ``collect_metrics=True``.
     metrics: MetricsSnapshot | None = None
+    #: Total waves in the campaign's plan.
+    waves_total: int = 0
+    #: Waves reloaded from the store rather than executed.
+    waves_resumed: int = 0
 
     def merged_coverage(self) -> CoverageMap:
         """Union of every cell's newly discovered lines."""
@@ -455,6 +459,10 @@ class ParallelCampaign:
     ``jobs=1`` runs every shard inline (no pool) through the *same*
     hermetic per-shard path, so it produces bit-identical results to
     any ``jobs=N`` run — the property the differential tests pin.
+
+    The engine executes waves (:meth:`run_wave`); the one driver that
+    turns them into a campaign is
+    :class:`repro.campaign.CampaignController`.
     """
 
     def __init__(
@@ -556,25 +564,6 @@ class ParallelCampaign:
 
     # -- execution -----------------------------------------------------
 
-    def run(self) -> CampaignResult:
-        started = time.perf_counter()
-        stats = CampaignStats(jobs=self.jobs)
-        try:
-            wave = self.run_wave(range(len(self.cases)))
-        finally:
-            self.close()
-        stats.shards = wave.shard_stats
-        stats.faults = wave.faults
-        stats.wall_seconds = time.perf_counter() - started
-        return CampaignResult(
-            results=[
-                wave.results[i] for i in sorted(wave.results)
-            ],
-            stats=stats,
-            abandoned_cells=wave.abandoned,
-            metrics=wave.metrics,
-        )
-
     def run_wave(self, cell_indices: Sequence[int]) -> WaveOutcome:
         """Run one wave — a subset of the campaign's cells — and merge it.
 
@@ -584,7 +573,7 @@ class ParallelCampaign:
         same cells into different waves — or resuming a stored campaign
         mid-way — cannot change any shard's work.  The worker pool
         stays warm across calls; the caller owns teardown via
-        :meth:`close` (:meth:`run` does this itself).
+        :meth:`close`.
         """
         wanted = set(cell_indices)
         unknown = wanted.difference(range(len(self.cases)))
@@ -635,11 +624,7 @@ class ParallelCampaign:
         )
 
     def close(self) -> None:
-        """Release the transport's workers (idempotent).
-
-        Callers driving the campaign wave-by-wave via :meth:`run_wave`
-        must call this when done; :meth:`run` handles it internally.
-        """
+        """Release the transport's workers (idempotent)."""
         if self._transport is not None:
             self._transport.close()
 
@@ -708,35 +693,6 @@ class ParallelCampaign:
         if not tasks:
             return []
         return self.transport().run_tasks(tasks)
-
-    # The pool-lifecycle surface below predates the transport layer;
-    # it remains as a thin view onto the default local transport (the
-    # lifecycle tests pin its warm/teardown semantics through it).
-
-    @property
-    def _pool(self) -> multiprocessing.pool.Pool | None:
-        from repro.campaign.transport import LocalPoolTransport
-
-        if isinstance(self._transport, LocalPoolTransport):
-            return self._transport._pool
-        return None
-
-    def _ensure_pool(self, n_tasks: int) -> multiprocessing.pool.Pool:
-        from repro.campaign.transport import LocalPoolTransport
-
-        transport = self.transport()
-        if not isinstance(transport, LocalPoolTransport):
-            raise TypeError(
-                "campaign runs on "
-                f"{transport.describe()}, which has no local pool"
-            )
-        return transport._ensure_pool(n_tasks)
-
-    def _discard_pool(self) -> None:
-        from repro.campaign.transport import LocalPoolTransport
-
-        if isinstance(self._transport, LocalPoolTransport):
-            self._transport._discard_pool()
 
     # -- bookkeeping / merging ----------------------------------------
 
@@ -826,12 +782,3 @@ class ParallelCampaign:
             if key[0] not in abandoned_cells
         )
 
-
-def run_parallel_campaign(
-    trace: Trace,
-    snapshot: VmSnapshot | None,
-    cases: list[FuzzTestCase],
-    **kwargs: object,
-) -> CampaignResult:
-    """Convenience wrapper: build a :class:`ParallelCampaign` and run it."""
-    return ParallelCampaign(trace, snapshot, cases, **kwargs).run()

@@ -6,8 +6,8 @@ coverage, failures, and the metrics snapshot — to the same campaign
 run uninterrupted.  Pinned across jobs 1/4 × vmx/svm × fast-reset
 on/off, plus: resume with a *different* worker count than the
 interrupted run (jobs never participates in campaign identity), a
-kill after every possible wave, and the controller's equivalence to
-the plain :meth:`ParallelCampaign.run` engine.
+kill after every possible wave, and the equivalence of store-backed
+runs at any wave size with the store-less single-wave run.
 """
 
 from __future__ import annotations
@@ -204,25 +204,23 @@ def test_differential_kill_after_every_wave(
         ]
 
 
-def test_controller_equals_plain_engine(recordings, cases, references):
-    """Without a store, the controller is a pure re-chunking of
-    ``ParallelCampaign.run`` — results, corpus, coverage, and metrics
-    are identical for any wave size."""
-    plain = make_engine(recordings, cases, "vmx", True, jobs=1).run()
+def test_controller_equals_plain_engine(
+    tmp_path, recordings, cases, references
+):
+    """Without a store the controller runs the whole plan as one wave,
+    whatever ``wave_size`` says; store-backed runs at every wave size
+    land on the identical results, corpus, coverage, and metrics."""
+    plain = references[("vmx", True)]
+    assert plain.waves_total == 1
     for wave_size in (1, 2, 3, 4):
         engine = make_engine(recordings, cases, "vmx", True, jobs=1)
-        controlled = CampaignController(
-            engine, wave_size=wave_size
-        ).run()
-        assert controlled.results == plain.results
-        assert controlled.merged_corpus() == plain.merged_corpus()
-        assert (
-            controlled.merged_coverage().lines()
-            == plain.merged_coverage().lines()
-        )
-        assert controlled.metrics is not None
-        assert plain.metrics is not None
-        assert controlled.metrics.to_json() == plain.metrics.to_json()
+        db = str(tmp_path / f"waves-{wave_size}.db")
+        with CampaignStore(db) as store:
+            controlled = CampaignController(
+                engine, store, wave_size=wave_size
+            ).run()
+        assert controlled.waves_total == len(plan_waves(4, wave_size))
+        assert_byte_identical(controlled, plain)
 
 
 def test_wave_size_does_not_change_checkpointed_output(

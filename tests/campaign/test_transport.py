@@ -515,6 +515,29 @@ class TestAddressing:
             assert parse_worker_address(server.address) == \
                 ("127.0.0.1", server.port)
 
+    def test_stop_returns_promptly_and_ends_the_accept_thread(self):
+        """Closing a listener does not wake a thread blocked in
+        ``accept()``; ``stop()`` must, instead of waiting out its
+        join timeout with the thread still alive."""
+        server = WorkerServer().start()
+        thread = server._accept_thread
+        assert thread is not None and thread.is_alive()
+        # Once a client's connection is registered, the accept thread
+        # has looped back and is blocked in ``accept()`` again.
+        client = socket.create_connection(("127.0.0.1", server.port))
+        try:
+            deadline = time.monotonic() + 5.0
+            while not server._connections:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.1)
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 1.0
+            assert not thread.is_alive()
+        finally:
+            client.close()
+
 
 class TestChaosSpec:
     def test_parse(self):

@@ -417,6 +417,27 @@ class TestMetricsCodecHardening:
         with pytest.raises(SeedFormatError, match="truncated"):
             unpack_metrics(b"", ())
 
+    @pytest.mark.parametrize("area", ["vmwrites", "coverage"])
+    def test_inflated_count_rejected_before_any_allocation(self, area):
+        """A hostile count (up to 0xFFFFFFFF coverage pairs: an 8 GB
+        format string) is checked against the bytes actually left
+        before a count-sized struct is built or cached."""
+        import struct
+
+        from repro.core import tracestore
+
+        if area == "vmwrites":
+            bad = struct.pack("<HI", 0xFFFF, 0)
+            builder = tracestore._vmwrites_struct
+        else:
+            bad = struct.pack("<HI", 0, 0xFFFFFFFF)
+            builder = tracestore._coverage_struct
+        bad += struct.pack("<QQ", 0, 0)
+        cached = builder.cache_info().currsize
+        with pytest.raises(SeedFormatError, match="truncated"):
+            unpack_metrics(bad, ())
+        assert builder.cache_info().currsize == cached
+
 
 # ---- header truncation hardening, both formats -----------------------
 
@@ -451,6 +472,14 @@ class TestHeaderTruncationV1:
         path = tmp_path / "empty.iris"
         path.write_bytes(b"")
         with pytest.raises(SeedFormatError):
+            Trace.load(path)
+
+    def test_non_utf8_workload_name(self, tmp_path):
+        blob = self._v1_bytes(tmp_path)
+        path = tmp_path / "bad-name.iris"
+        # The two name bytes ("wl") follow the magic and length prefix.
+        path.write_bytes(blob[:10] + b"\xff\xfe" + blob[12:])
+        with pytest.raises(SeedFormatError, match="workload name"):
             Trace.load(path)
 
 
@@ -635,7 +664,7 @@ class TestSpoolCli:
         trace_file = str(tmp_path / "t.iris2")
         assert main([
             "record", "-w", "cpu-bound", "-n", "30",
-            "-p", "none", "-o", trace_file, "--spool",
+            "-p", "none", "-o", trace_file,
         ]) == 0
         assert "recorded 30 exits" in capsys.readouterr().out
         with open(trace_file, "rb") as fh:
@@ -645,24 +674,25 @@ class TestSpoolCli:
         out = capsys.readouterr().out
         assert "records:  30" in out
 
-        # A spooled file replays like any other trace.
+        # The streamed file replays like any other trace.
         assert main(["replay", trace_file]) == 0
         assert "replayed 30/30" in capsys.readouterr().out
 
     def test_spool_and_plain_record_same_behavior(self, tmp_path,
                                                   capsys):
+        """The CLI's streamed recording holds exactly the records an
+        in-RAM recording of the same workload does."""
         from repro.core.cli import main
+        from repro.core.manager import IrisManager
 
-        plain = str(tmp_path / "plain.iris")
+        plain = IrisManager().record_workload(
+            "cpu-bound", n_exits=25, precondition="none",
+        ).trace
         spooled = str(tmp_path / "spooled.iris2")
         assert main(["record", "-w", "cpu-bound", "-n", "25",
-                     "-p", "none", "-o", plain]) == 0
-        assert main(["record", "-w", "cpu-bound", "-n", "25",
-                     "-p", "none", "-o", spooled, "--spool"]) == 0
+                     "-p", "none", "-o", spooled]) == 0
         capsys.readouterr()
-        a = Trace.load(plain)
-        b = Trace.load(spooled)
-        assert a.records == b.records
+        assert Trace.load(spooled).records == plain.records
 
     def test_fuzz_trace_out_streams_campaign_input(self, tmp_path,
                                                    capsys):

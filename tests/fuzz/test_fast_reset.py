@@ -24,6 +24,7 @@ import random
 
 import pytest
 
+from repro.campaign import CampaignController
 from repro.core.manager import IrisManager
 from repro.core.snapshot import take_snapshot
 from repro.fuzz.fuzzer import IrisFuzzer
@@ -58,11 +59,11 @@ def _plan(session, n_mutations=6):
 # ---- campaign-level differential -------------------------------------
 
 def _campaign(session, arch, fast_reset, jobs):
-    return ParallelCampaign(
+    return CampaignController(ParallelCampaign(
         session.trace, session.snapshot, _plan(session),
         campaign_seed=7, jobs=jobs, shards_per_cell=2,
         arch=arch, fast_reset=fast_reset, collect_metrics=True,
-    ).run()
+    )).run()
 
 
 class TestCampaignDifferential:
@@ -101,9 +102,10 @@ def _serial_sweep(session, arch, fast_reset):
     fuzzer = IrisFuzzer(
         manager, rng=random.Random(11), fast_reset=fast_reset
     )
-    return fuzzer.run_campaign(
-        _plan(session), from_snapshot=session.snapshot
-    )
+    return [
+        fuzzer.run_test_case(case, from_snapshot=session.snapshot)
+        for case in _plan(session)
+    ]
 
 
 class TestSerialDifferential:

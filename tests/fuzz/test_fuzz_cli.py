@@ -93,10 +93,7 @@ class TestEngineSelection:
     def test_smart_campaign_is_jobs_invariant_via_cli(
         self, tmp_path, capsys
     ):
-        # --store forces the campaign engine even at --jobs 1 (the
-        # bare jobs=1 path is the classic serial fuzzer, a different
-        # deliberate code path); within the engine, worker count must
-        # never change a result byte.
+        # Worker count must never change a result byte.
         outputs = []
         for jobs in ("1", "2"):
             main(self.ARGS + [
@@ -252,6 +249,72 @@ class TestSmallCampaign:
         ])
         assert code == EXIT_NO_SEEDS
         assert "no seeds" in capsys.readouterr().out
+
+
+class TestOneExecutionPath:
+    """Every run goes through the campaign controller, so worker
+    count, observability and persistence flags never change what a
+    campaign finds (a bare run used to take a separate serial path
+    with different results)."""
+
+    ARGS = [
+        "-w", "cpu-bound", "-n", "150", "--mutations", "40",
+        "--reasons", "RDTSC,CPUID",
+    ]
+
+    @staticmethod
+    def _findings(out: str) -> str:
+        """The campaign table and the crash triage, verbatim."""
+        lines = out.splitlines()
+
+        def block(first: str, last: str) -> list[str]:
+            start = next(
+                i for i, line in enumerate(lines)
+                if line.startswith(first)
+            )
+            end = next(
+                i for i in range(start, len(lines))
+                if lines[i].startswith(last)
+            )
+            return lines[start:end + 1]
+
+        return "\n".join(
+            block("Fuzzing campaign:", "total failures observed")
+            + block("Crash triage:", "campaign status:")
+        )
+
+    def test_jobs_and_observability_flags_are_inert(
+        self, tmp_path, capsys
+    ):
+        arms = {
+            "bare": [],
+            "jobs 2": ["--jobs", "2"],
+            "metrics": ["--metrics", str(tmp_path / "m.json")],
+            "trace": ["--trace", str(tmp_path / "t.jsonl")],
+        }
+        seen = {}
+        for name, extra in arms.items():
+            code = main(self.ARGS + extra)
+            seen[name] = (code, self._findings(capsys.readouterr().out))
+        assert seen["bare"][0] == EXIT_CRASHES_FOUND
+        for name, outcome in seen.items():
+            assert outcome == seen["bare"], name
+
+    def test_store_bytes_do_not_depend_on_jobs(self, tmp_path, capsys):
+        import sqlite3
+
+        dumps, findings = [], []
+        for jobs in ("1", "2"):
+            db = str(tmp_path / f"jobs{jobs}.db")
+            main(self.ARGS + ["--jobs", jobs, "--store", db])
+            findings.append(self._findings(capsys.readouterr().out))
+            conn = sqlite3.connect(db)
+            try:
+                dumps.append("\n".join(conn.iterdump()))
+            finally:
+                conn.close()
+        assert dumps[0] == dumps[1]
+        assert findings[0] == findings[1]
 
 
 class TestResumableCampaignCli:

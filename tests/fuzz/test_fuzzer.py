@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.campaign import CampaignController
 from repro.fuzz.fuzzer import IrisFuzzer
 from repro.fuzz.mutations import MutationArea
+from repro.fuzz.parallel import ParallelCampaign
 from repro.fuzz.testcase import FuzzTestCase, plan_test_cases
 from repro.vmx.exit_reasons import ExitReason
 
@@ -92,16 +94,17 @@ class TestCampaignMechanics:
         assert first.mutations_run == second.mutations_run == 60
 
     def test_campaign_runs_case_list(self, cpu_session):
-        manager, session = cpu_session
-        fuzzer = IrisFuzzer(manager, rng=random.Random(4))
+        _manager, session = cpu_session
         cases = plan_test_cases(
             session.trace, [ExitReason.CPUID], n_mutations=20,
             rng=random.Random(5),
         )
-        results = fuzzer.run_campaign(
-            cases, from_snapshot=session.snapshot
-        )
-        assert len(results) == len(cases)
+        outcome = CampaignController(ParallelCampaign(
+            session.trace, session.snapshot, cases, campaign_seed=4,
+        )).run()
+        assert len(outcome.results) == len(cases)
+        assert [r.area for r in outcome.results] == \
+            [c.area for c in cases]
 
     def test_deterministic_given_seed(self, cpu_session):
         manager, session = cpu_session

@@ -4,7 +4,8 @@ The rr-style invariant under test: a campaign's merged results are a
 pure function of (trace, snapshot, cases, campaign seed, shard plan) —
 the worker count and scheduling never change them.  Asserted
 *structurally* (per-cell results, merged coverage line sets, corpus
-entries, failure records), not just by counts.
+entries, failure records), not just by counts.  Every campaign runs
+through :class:`CampaignController`, the one campaign execution path.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ import random
 
 import pytest
 
+from repro.campaign import (
+    CampaignController,
+    LocalPoolTransport,
+    TransportContext,
+)
 from repro.core.manager import IrisManager
 from repro.core.seed import SeedEntry, VMSeed
 from repro.fuzz.failures import FailureKind, FailureRecord
@@ -52,11 +58,37 @@ def cases(recorded):
     return planned
 
 
+def controlled(engine):
+    """Run ``engine`` as a store-less campaign.
+
+    A clean multi-shard campaign on a ``jobs>1`` local pool must
+    spread over more than one worker process; otherwise its
+    jobs-invariance arms would compare the inline path with itself.
+    """
+    outcome = CampaignController(engine).run()
+    if (
+        engine.jobs > 1 and outcome.stats.healthy
+        and len(outcome.stats.shards) > 1
+        and isinstance(engine.transport(), LocalPoolTransport)
+    ):
+        assert len({s.worker_pid for s in outcome.stats.shards}) > 1
+    return outcome
+
+
 def run_campaign(recorded, cases, jobs, **kwargs):
-    return ParallelCampaign(
+    return controlled(ParallelCampaign(
         recorded.trace, recorded.snapshot, cases,
         campaign_seed=CAMPAIGN_SEED, jobs=jobs, **kwargs,
-    ).run()
+    ))
+
+
+def local_pool(recorded, **kwargs):
+    """A primed local-pool transport over the module's recording."""
+    transport = LocalPoolTransport(**kwargs)
+    transport.prime(TransportContext(
+        trace=recorded.trace, snapshot=recorded.snapshot,
+    ))
+    return transport
 
 
 # ---- seeding and shard planning --------------------------------------
@@ -182,14 +214,14 @@ class TestDifferentialDeterminism:
             session.trace, [ExitReason.RDTSC],
             n_mutations=20, rng=random.Random(5),
         )
-        serial = ParallelCampaign(
+        serial = controlled(ParallelCampaign(
             session.trace, session.snapshot, planned,
             campaign_seed=CAMPAIGN_SEED, jobs=1, arch="svm",
-        ).run()
-        pooled = ParallelCampaign(
+        ))
+        pooled = controlled(ParallelCampaign(
             session.trace, session.snapshot, planned,
             campaign_seed=CAMPAIGN_SEED, jobs=2, arch="svm",
-        ).run()
+        ))
         assert serial.stats.healthy and pooled.stats.healthy
         assert serial.results == pooled.results
         assert serial.merged_corpus().entries == \
@@ -199,10 +231,10 @@ class TestDifferentialDeterminism:
 
     def test_campaign_seed_actually_matters(self, recorded, cases):
         a = run_campaign(recorded, cases, 1)
-        b = ParallelCampaign(
+        b = controlled(ParallelCampaign(
             recorded.trace, recorded.snapshot, cases,
             campaign_seed=CAMPAIGN_SEED + 1, jobs=1,
-        ).run()
+        ))
         assert a.results != b.results
 
     def test_shard_function_is_hermetic(self, recorded, cases):
@@ -290,14 +322,14 @@ class TestSmartEngineInvariance:
             session.trace, [ExitReason.RDTSC], n_mutations=20,
             rng=random.Random(5), engine="smart",
         )
-        serial = ParallelCampaign(
+        serial = controlled(ParallelCampaign(
             session.trace, session.snapshot, planned,
             campaign_seed=CAMPAIGN_SEED, jobs=1, arch="svm",
-        ).run()
-        pooled = ParallelCampaign(
+        ))
+        pooled = controlled(ParallelCampaign(
             session.trace, session.snapshot, planned,
             campaign_seed=CAMPAIGN_SEED, jobs=2, arch="svm",
-        ).run()
+        ))
         assert serial.stats.healthy and pooled.stats.healthy
         self._assert_identical(serial, pooled)
 
@@ -308,13 +340,13 @@ class TestSmartEngineInvariance:
 
         server = WorkerServer(heartbeat_interval=0.2).start()
         try:
-            outcome = ParallelCampaign(
+            outcome = controlled(ParallelCampaign(
                 recorded.trace, recorded.snapshot, smart_cases,
                 campaign_seed=CAMPAIGN_SEED, jobs=2,
                 transport=SocketTransport(
                     [server.address], backoff_base=0.01
                 ),
-            ).run()
+            ))
         finally:
             server.stop()
         self._assert_identical(outcome, reference)
@@ -322,11 +354,7 @@ class TestSmartEngineInvariance:
     def test_smart_resume_is_invariant(
         self, tmp_path, recorded, smart_cases, reference
     ):
-        from repro.campaign import (
-            CampaignController,
-            CampaignInterrupted,
-            CampaignStore,
-        )
+        from repro.campaign import CampaignInterrupted, CampaignStore
 
         db = str(tmp_path / "smart.db")
 
@@ -567,18 +595,27 @@ class TestFaultIsolation:
 
 class TestPoolLifecycle:
     def test_pool_is_reused_until_discarded(self, recorded, cases):
-        campaign = ParallelCampaign(
+        """The local transport's pool stays warm across waves: a
+        second wave runs on the workers the first one started, and
+        closing the transport tears the pool down (idempotently)."""
+        tasks = ParallelCampaign(
             recorded.trace, recorded.snapshot, cases,
-            campaign_seed=CAMPAIGN_SEED, jobs=2,
-        )
+            campaign_seed=CAMPAIGN_SEED,
+        ).plan()
+        transport = local_pool(recorded, jobs=2)
         try:
-            pool = campaign._ensure_pool(4)
-            assert campaign._ensure_pool(4) is pool
+            first = transport.run_tasks(tasks)
+            pool = transport._pool
+            second = transport.run_tasks(tasks)
+            assert transport._pool is pool is not None
         finally:
-            campaign._discard_pool()
-        assert campaign._pool is None
-        # Discard is idempotent (run() calls it again in its finally).
-        campaign._discard_pool()
+            transport.close()
+        assert all(o.ok for o in first + second)
+        assert {o.worker_pid for o in second} <= \
+            {o.worker_pid for o in first}
+        assert transport._pool is None
+        # Close is idempotent (the controller calls it once per run).
+        transport.close()
 
     def test_retry_runs_on_the_warm_pool(self, recorded, cases):
         """A raise-fault retry reuses the campaign's workers instead of
@@ -604,29 +641,29 @@ class TestPoolLifecycle:
         (each collection restarted the clock).  The deadline is now
         fixed at wave submission, so even four simultaneous hangs
         resolve in ~one timeout."""
+        import time
+
         timeout = 1.0
-        campaign = ParallelCampaign(
+        tasks = ParallelCampaign(
             recorded.trace, recorded.snapshot, cases,
-            campaign_seed=CAMPAIGN_SEED, jobs=4,
-            shard_timeout=timeout,
+            campaign_seed=CAMPAIGN_SEED,
             fault_plan={cell: ("hang", 1) for cell in range(4)},
-        )
-        tasks = campaign.plan()
+        ).plan()
         assert len(tasks) == 4
         assert all(t.fault_kind == "hang" for t in tasks)
-        import time
+        transport = local_pool(recorded, jobs=4, shard_timeout=timeout)
         started = time.monotonic()
         try:
-            outcomes = campaign._run_tasks(tasks)
+            outcomes = transport.run_tasks(tasks)
+            elapsed = time.monotonic() - started
+            # The hang forced the pool's replacement.
+            assert transport._pool is None
         finally:
-            campaign._discard_pool()
-        elapsed = time.monotonic() - started
+            transport.close()
         assert all("Timeout" in (o.error or "") for o in outcomes)
         # One absolute deadline (plus pool startup + teardown slack),
         # strictly below the 4 x timeout the per-shard clock allowed.
         assert elapsed < 4 * timeout - 0.5
-        # The hang forced the pool's replacement.
-        assert campaign._pool is None
 
 
 # ---- the stats channel -----------------------------------------------
@@ -652,6 +689,20 @@ class TestStatsChannel:
             assert record.worker_pid > 0
         assert "worker fault" in stats.describe() or \
             "0 worker fault(s)" in stats.describe()
+
+    def test_storeless_campaign_spreads_over_the_pool(
+        self, recorded, cases
+    ):
+        """Without a store the whole plan is one wave, so a jobs=2
+        campaign keeps both workers busy even at a one-cell wave size
+        (which used to pin every shard to a single process)."""
+        outcome = CampaignController(ParallelCampaign(
+            recorded.trace, recorded.snapshot, cases,
+            campaign_seed=CAMPAIGN_SEED, jobs=2,
+        ), wave_size=1).run()
+        assert outcome.waves_total == 1
+        assert len(outcome.results) == len(cases) >= 2
+        assert len({s.worker_pid for s in outcome.stats.shards}) >= 2
 
     def test_campaign_result_describe(self, recorded, cases):
         outcome = run_campaign(recorded, cases, 1)

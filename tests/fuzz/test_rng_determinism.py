@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.campaign import CampaignController
 from repro.core.manager import IrisManager
 from repro.fuzz.fuzzer import IrisFuzzer
 from repro.fuzz.parallel import ParallelCampaign
@@ -79,10 +80,10 @@ def test_campaign_runs_with_global_random_poisoned(
     """No code on the campaign path touches the global generator."""
     cases = _cases(recorded)
     assert cases
-    outcome = ParallelCampaign(
+    outcome = CampaignController(ParallelCampaign(
         recorded.trace, recorded.snapshot, cases,
         campaign_seed=4, jobs=1, shards_per_cell=2,
-    ).run()
+    )).run()
     assert not outcome.abandoned_cells
     assert all(r.mutations_run == 20 for r in outcome.results)
 
@@ -105,10 +106,10 @@ def test_campaign_ignores_global_random_state(recorded):
     cases = _cases(recorded)
 
     def run():
-        return ParallelCampaign(
+        return CampaignController(ParallelCampaign(
             recorded.trace, recorded.snapshot, cases,
             campaign_seed=4, jobs=1, shards_per_cell=2,
-        ).run()
+        )).run()
 
     random.seed(12345)
     first = _result_fingerprint(run().results)

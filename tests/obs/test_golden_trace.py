@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from repro.campaign import CampaignController
 from repro.core.manager import IrisManager
 from repro.fuzz.parallel import ParallelCampaign
 from repro.fuzz.testcase import plan_test_cases
@@ -139,7 +140,7 @@ def test_campaign_metrics_are_jobs_invariant(arch):
             campaign_seed=11, jobs=jobs, shards_per_cell=2,
             collect_metrics=True, arch=arch,
         )
-        outcome = campaign.run()
+        outcome = CampaignController(campaign).run()
         assert outcome.metrics is not None
         assert not outcome.abandoned_cells
         return outcome.metrics.to_json()
@@ -161,11 +162,11 @@ def test_campaign_metrics_match_the_fuzz_results():
         session.trace, [ExitReason.RDTSC], n_mutations=20,
         rng=random.Random(5),
     )
-    outcome = ParallelCampaign(
+    outcome = CampaignController(ParallelCampaign(
         session.trace, session.snapshot, cases,
         campaign_seed=1, jobs=1, shards_per_cell=2,
         collect_metrics=True,
-    ).run()
+    )).run()
     snap = outcome.metrics
     assert snap is not None
     total_mutations = sum(r.mutations_run for r in outcome.results)
