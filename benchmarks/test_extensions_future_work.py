@@ -6,9 +6,10 @@
 * **Intel PT coverage** — "Intel Processor Trace allows recording
   complete control flow with low-performance overhead": compares the
   inline cost of the gcov instrumentation vs the PT backend.
-* **Coverage-guided fuzzing** — beyond the PoC's naive bit-flip: an
-  evolutionary queue over IRIS replay, compared against the naive
-  fuzzer at equal execution budget.
+* **Coverage-guided fuzzing** — beyond the PoC's naive bit-flip: the
+  smart engine's evolutionary queue over IRIS replay, run through the
+  same fuzz loop as the naive fuzzer and compared at equal execution
+  budget.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pytest
 
 from repro.analysis import ideal_throughput_gap, render_table
 from repro.core.manager import IrisManager
-from repro.fuzz.coverage_guided import CoverageGuidedFuzzer
 from repro.fuzz.fuzzer import IrisFuzzer
 from repro.fuzz.mutations import MutationArea
 from repro.fuzz.testcase import FuzzTestCase, plan_test_cases
@@ -110,15 +110,16 @@ def test_extension_coverage_guided(cpu_experiment, benchmark):
     case = cases[0]
     budget = 400
 
-    guided = CoverageGuidedFuzzer(
-        manager, rng=random.Random(5)
-    ).run_campaign(case, iterations=budget,
-                   from_snapshot=session.snapshot)
-    naive = IrisFuzzer(manager, rng=random.Random(5)).run_test_case(
-        FuzzTestCase(trace=case.trace, seed_index=case.seed_index,
-                     area=case.area, n_mutations=budget),
-        from_snapshot=session.snapshot,
-    )
+    def run(engine: str):
+        return IrisFuzzer(manager, rng=random.Random(5)).run_test_case(
+            FuzzTestCase(trace=case.trace, seed_index=case.seed_index,
+                         area=case.area, n_mutations=budget,
+                         engine=engine),
+            from_snapshot=session.snapshot,
+        )
+
+    guided = run("smart")
+    naive = run("poc")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     crash_report = triage(guided.failures)
@@ -131,8 +132,8 @@ def test_extension_coverage_guided(cpu_experiment, benchmark):
              naive.new_loc,
              naive.vm_crashes + naive.hypervisor_crashes,
              len(triage(naive.failures).buckets)),
-            ("coverage-guided (§IX extension)", guided.executions,
-             guided.total_new_loc,
+            ("coverage-guided (§IX extension)", guided.mutations_run,
+             guided.new_loc,
              guided.vm_crashes + guided.hypervisor_crashes,
              crash_report.unique_crashes),
         ],
@@ -145,6 +146,6 @@ def test_extension_coverage_guided(cpu_experiment, benchmark):
         title="Crash triage (guided campaign)",
     ))
 
-    assert guided.total_new_loc >= naive.new_loc
+    assert guided.new_loc >= naive.new_loc
     assert crash_report.unique_crashes >= 1
     assert crash_report.unique_crashes <= crash_report.total_failures

@@ -117,7 +117,6 @@ class CampaignController:
             shards_per_cell=self.engine.shards_per_cell,
             wave_size=self.wave_size,
             arch=self.engine.arch,
-            fast_reset=self.engine.fast_reset,
             collect_metrics=self.engine.collect_metrics,
             differential=self.engine.differential,
             engine=self.engine.engine,

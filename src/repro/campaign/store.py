@@ -167,7 +167,6 @@ class CampaignConfig:
     shards_per_cell: int = 1
     wave_size: int = 1
     arch: str = "vmx"
-    fast_reset: bool = True
     collect_metrics: bool = False
     differential: bool = False
     #: Mutation engine the campaign's cases run ("poc"/"smart").
@@ -187,6 +186,10 @@ class CampaignConfig:
     @classmethod
     def from_json(cls, text: str) -> "CampaignConfig":
         payload = json.loads(text)
+        # Stores written before campaigns had one reset policy carry a
+        # ``fast_reset`` flag.  It never changed a result byte, so such
+        # a store resumes as if the key had never been written.
+        payload.pop("fast_reset", None)
         extra = tuple(sorted(
             (str(k), str(v))
             for k, v in payload.pop("extra", {}).items()

@@ -182,13 +182,11 @@ class LocalPoolTransport:
         self,
         *,
         jobs: int = 1,
-        start_method: str | None = None,
         shard_timeout: float | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.start_method = start_method
         self.shard_timeout = shard_timeout
         self.stats = TransportStats()
         self._context: TransportContext | None = None
@@ -262,8 +260,11 @@ class LocalPoolTransport:
         """The warm pool, created on the first parallel wave."""
         if self._pool is None:
             assert self._context is not None, "transport not primed"
+            # fork where the platform has it (workers inherit the
+            # warm interpreter), else the platform default.
+            methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(
-                self._resolved_start_method()
+                "fork" if "fork" in methods else methods[0]
             )
             self._pool = context.Pool(
                 processes=min(self.jobs, n_tasks),
@@ -284,12 +285,6 @@ class LocalPoolTransport:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-
-    def _resolved_start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else methods[0]
 
 
 # ---- the socket transport ---------------------------------------------

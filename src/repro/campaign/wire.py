@@ -55,7 +55,9 @@ from repro.vmx.exit_reasons import ExitReason
 #: v3: mutation engines — tasks carry the ``engine`` name, so a
 #: remote worker runs the same staged pipeline (or the same PoC
 #: stack) the controller planned.
-WIRE_VERSION = 3
+#: v4: tasks no longer carry a ``fast_reset`` flag — every shard runs
+#: the one (fast) reset policy.
+WIRE_VERSION = 4
 
 #: First bytes of every frame; a link that does not start with them is
 #: not an iris worker link.
@@ -244,7 +246,6 @@ def encode_task(task: ShardTask) -> bytes:
         "arch": task.arch,
         "fault_kind": task.fault_kind,
         "collect_metrics": task.collect_metrics,
-        "fast_reset": task.fast_reset,
         "differential": task.differential,
     })
 
@@ -265,7 +266,6 @@ def decode_task(payload: bytes) -> ShardTask:
             arch=data["arch"],
             fault_kind=data["fault_kind"],
             collect_metrics=data["collect_metrics"],
-            fast_reset=data["fast_reset"],
             differential=data["differential"],
         )
     except (KeyError, ValueError) as exc:

@@ -37,7 +37,7 @@ Two entry points:
   ``len()``, ``reasons()`` and ``reason_histogram()`` are answered
   from the footer index without touching a single payload byte (the
   ``stats.records_decoded`` counter proves it), and ``records[i]``
-  decodes exactly one record, zero-copy, on access.
+  copies out and decodes exactly one record on access.
 
 :func:`open_trace` dispatches on the magic so every consumer accepts
 both formats; ``Trace.load()`` keeps its fully-materialized contract
@@ -516,7 +516,6 @@ class TraceReader(Sequence[VMExitRecord]):
                 raise SeedFormatError(
                     "not an IRIS trace file (empty file)"
                 ) from None
-            self._view = memoryview(self._mm)
             self._parse()
         except BaseException:
             self.close()
@@ -526,32 +525,36 @@ class TraceReader(Sequence[VMExitRecord]):
     # -- layout parsing --
 
     def _parse(self) -> None:
-        view = self._view
-        if bytes(view[:8]) != MAGIC:
+        # Reads go through the map itself (slices are byte copies), so
+        # no view into it can outlive a decode error and make close()
+        # fail with BufferError in place of the SeedFormatError.
+        mm = self._mm
+        assert mm is not None
+        if mm[:8] != MAGIC:
             raise SeedFormatError("not an IRISTRC2 trace file")
-        if len(view) < 8 + _U16.size:
+        if len(mm) < 8 + _U16.size:
             raise SeedFormatError("truncated trace header")
-        (name_len,) = _U16.unpack_from(view, 8)
+        (name_len,) = _U16.unpack_from(mm, 8)
         header_end = 8 + _U16.size + name_len
-        if len(view) < header_end:
+        if len(mm) < header_end:
             raise SeedFormatError("truncated trace header")
         try:
-            self.workload = bytes(view[10:header_end]).decode()
+            self.workload = mm[10:header_end].decode()
         except UnicodeDecodeError as exc:
             raise SeedFormatError(
                 f"bad workload name: {exc}"
             ) from exc
-        if len(view) < header_end + _TRAILER.size:
+        if len(mm) < header_end + _TRAILER.size:
             raise SeedFormatError("truncated trace trailer")
         names_off, index_off, count, tail = _TRAILER.unpack_from(
-            view, len(view) - _TRAILER.size
+            mm, len(mm) - _TRAILER.size
         )
         if tail != TRAILER_MAGIC:
             raise SeedFormatError(
                 "truncated trace trailer (bad trailer magic — "
                 "was the writer closed?)"
             )
-        index_end = len(view) - _TRAILER.size
+        index_end = len(mm) - _TRAILER.size
         if not (
             header_end <= names_off <= index_off <= index_end
         ):
@@ -562,30 +565,31 @@ class TraceReader(Sequence[VMExitRecord]):
         self._names = self._parse_names(names_off, index_off)
         if count:
             self._index = struct.unpack_from(
-                "<" + "QIIH" * count, view, index_off
+                "<" + "QIIH" * count, mm, index_off
             )
         else:
             self._index = ()
         self._count = count
 
     def _parse_names(self, start: int, end: int) -> tuple[str, ...]:
-        view = self._view
+        mm = self._mm
+        assert mm is not None
 
         def need(offset: int, count: int) -> None:
             if end - offset < count:
                 raise SeedFormatError("truncated trace name table")
 
         need(start, _U32.size)
-        (n_names,) = _U32.unpack_from(view, start)
+        (n_names,) = _U32.unpack_from(mm, start)
         offset = start + _U32.size
         names: list[str] = []
         for _ in range(n_names):
             need(offset, _U16.size)
-            (length,) = _U16.unpack_from(view, offset)
+            (length,) = _U16.unpack_from(mm, offset)
             offset += _U16.size
             need(offset, length)
             try:
-                names.append(bytes(view[offset:offset + length]).decode())
+                names.append(mm[offset:offset + length].decode())
             except UnicodeDecodeError as exc:
                 raise SeedFormatError(
                     f"bad trace name table: {exc}"
@@ -600,10 +604,6 @@ class TraceReader(Sequence[VMExitRecord]):
     # -- lifecycle --
 
     def close(self) -> None:
-        view = getattr(self, "_view", None)
-        if view is not None:
-            view.release()
-            self._view = None  # type: ignore[assignment]
         mm = getattr(self, "_mm", None)
         if mm is not None:
             mm.close()
@@ -649,8 +649,8 @@ class TraceReader(Sequence[VMExitRecord]):
     # -- lazy record access --
 
     def _decode(self, index: int) -> VMExitRecord:
-        view = self._view
-        if view is None:
+        mm = self._mm
+        if mm is None:
             raise SeedFormatError("trace reader is closed")
         base = 4 * index
         offset = self._index[base]
@@ -659,10 +659,12 @@ class TraceReader(Sequence[VMExitRecord]):
         end = offset + seed_len + metrics_len
         if end > self._payload_end:
             raise SeedFormatError("bad trace index entry")
-        seed = VMSeed.from_bytes(view[offset:offset + seed_len])
-        metrics = unpack_metrics(
-            view[offset + seed_len:end], self._names
-        )
+        # One copy out of the map per record: the decoders slice views
+        # of these bytes, never of the map, so a decode error's
+        # traceback cannot pin the map open.
+        record = memoryview(mm[offset:end])
+        seed = VMSeed.from_bytes(record[:seed_len])
+        metrics = unpack_metrics(record[seed_len:], self._names)
         self.stats.records_decoded += 1
         return VMExitRecord(seed=seed, metrics=metrics)
 

@@ -172,14 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-after-wave", type=int, default=None,
         help=argparse.SUPPRESS,
     )
-    parser.add_argument(
-        "--no-fast-reset", dest="fast_reset", action="store_false",
-        help="disable the in-place dummy-VM reset and delta snapshot "
-             "restore; every test case rebuilds the dummy VM from "
-             "scratch (the pre-fast-reset behavior, kept as an escape "
-             "hatch and for A/B measurements — results are identical "
-             "either way, only slower)",
-    )
     add_obs_options(parser)
     return parser
 
@@ -221,7 +213,6 @@ def _restore_stored_args(args: argparse.Namespace) -> bool | None:
     args.rule = extra["rule"]
     args.seed = int(extra["seed"])
     args.arch = stored.arch
-    args.fast_reset = stored.fast_reset
     args.shards_per_cell = stored.shards_per_cell
     args.wave_size = stored.wave_size
     args.differential = stored.differential
@@ -322,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.area]
 
     with cli_observability(args) as obs:
-        manager = IrisManager(arch=args.arch, fast_reset=args.fast_reset)
+        manager = IrisManager(arch=args.arch)
         precondition = (
             "bios" if args.workload in ("os-boot", "full-boot")
             else "boot"
@@ -389,7 +380,6 @@ def main(argv: list[str] | None = None) -> int:
             shards_per_cell=args.shards_per_cell, on_event=report,
             arch=args.arch,
             collect_metrics=collect_metrics,
-            fast_reset=args.fast_reset,
             differential=args.differential,
             transport=transport,
         )

@@ -45,7 +45,7 @@ from repro.core.seed import VMSeed
 from repro.core.snapshot import VmSnapshot, restore_snapshot, take_snapshot
 from repro.fuzz.testcase import FuzzTestCase
 from repro.fuzz.triage import _NORMALIZERS
-from repro.hypervisor.coverage import NOISE_FILES
+from repro.hypervisor.coverage import denoise
 from repro.svm.translate import (
     ROUND_TRIP_FIELDS,
     translate_seed,
@@ -246,8 +246,8 @@ def render_divergence_report(
 
     Byte-identical for any ordering of ``records`` — rows are sorted
     by (count, signature) and every column is deterministic — which is
-    what lets the test matrix compare reports across jobs counts,
-    fast-reset modes, and transports by simple string equality.
+    what lets the test matrix compare reports across jobs counts and
+    transports by simple string equality.
     """
     from repro.analysis import render_table
 
@@ -284,12 +284,6 @@ def normalize_seed(seed: VMSeed) -> VMSeed | None:
     if svm_seed is None:
         return None
     return translate_seed_back(svm_seed)
-
-
-def _denoise(
-    lines: frozenset[tuple[str, int]]
-) -> frozenset[tuple[str, int]]:
-    return frozenset(t for t in lines if t[0] not in NOISE_FILES)
 
 
 def _echo_set(
@@ -341,11 +335,10 @@ class DifferentialOracle:
     target state — then :meth:`observe` once per mutant.
 
     Determinism: every replay here is a pure function of
-    ``(case, from_snapshot, mutant)``.  The oracle deliberately
-    ignores the primary's ``fast_reset`` flag — its own resets always
-    take the full-restore path — so flipping the primary's flag
-    cannot change a single divergence byte (the fast-reset arm of the
-    test matrix holds by construction).
+    ``(case, from_snapshot, mutant)``.  The oracle's own resets always
+    take the full-restore path, so the secondary is the rebuild-mode
+    reference for the primary's fast resets, and no reset shortcut on
+    the primary side can change a divergence byte.
     """
 
     def __init__(self) -> None:
@@ -425,7 +418,7 @@ class DifferentialOracle:
                 f"{baseline.crash_reason}",
                 svm_outcome=baseline.outcome.value,
             )
-        self._baseline_lines = _denoise(baseline.coverage_lines)
+        self._baseline_lines = denoise(baseline.coverage_lines)
         assert manager.dummy_vm is not None
         self._state_r = take_snapshot(manager.hv, manager.dummy_vm)
         self._enabled = True
@@ -527,11 +520,11 @@ class DifferentialOracle:
                 ),
             )
         vmx_delta = (
-            _denoise(vmx_result.coverage_lines)
+            denoise(vmx_result.coverage_lines)
             - self._vmx_baseline_lines
         )
         svm_delta = (
-            _denoise(svm_result.coverage_lines) - self._baseline_lines
+            denoise(svm_result.coverage_lines) - self._baseline_lines
         )
         if vmx_delta != svm_delta:
             return DivergenceRecord(

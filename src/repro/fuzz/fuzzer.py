@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.core.manager import IrisManager
 from repro.core.replay import ReplayOutcome
 from repro.core.snapshot import VmSnapshot, restore_snapshot, take_snapshot
-from repro.hypervisor.coverage import NOISE_FILES
+from repro.hypervisor.coverage import denoise
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.differential import (
     MAX_DIVERGENCES_KEPT,
@@ -313,7 +313,7 @@ class IrisFuzzer:
                 raise RuntimeError(
                     f"baseline seed crashed: {baseline.crash_reason}"
                 )
-            baseline_lines = self._denoise(baseline.coverage_lines)
+            baseline_lines = denoise(baseline.coverage_lines)
             state_r = take_snapshot(hv, dummy)
             self._target_state = _TargetState(
                 trace=case.trace,
@@ -367,7 +367,7 @@ class IrisFuzzer:
                 ):
                     divergences.append(record)
 
-            lines = self._denoise(outcome.coverage_lines)
+            lines = denoise(outcome.coverage_lines)
             fresh = lines - baseline_lines - discovered
             discovered |= fresh
 
@@ -419,17 +419,3 @@ class IrisFuzzer:
                 self.oracle.untranslatable_seeds
             )
         return result
-
-    @staticmethod
-    def _denoise(
-        lines: frozenset[tuple[str, int]]
-    ) -> frozenset[tuple[str, int]]:
-        """Drop asynchronous-component lines from a coverage set.
-
-        Returns a frozenset so the per-mutation loop can hand the
-        result straight to :meth:`Corpus.consider` without another
-        copy.
-        """
-        return frozenset(
-            t for t in lines if t[0] not in NOISE_FILES
-        )

@@ -470,14 +470,6 @@ class MutationEngine:
     ) -> None:
         """Report one execution's outcome back to the engine."""
 
-    @property
-    def queue_size(self) -> int:
-        return 1
-
-    @property
-    def max_depth(self) -> int:
-        return 0
-
 
 class PocEngine(MutationEngine):
     """The paper's flat stack, byte-for-byte.
@@ -518,20 +510,14 @@ class SmartEngine(MutationEngine):
 
     _HAVOC_OPS = (bit_flip, byte_flip, arithmetic_mutation)
 
-    def __init__(
-        self,
-        case: "FuzzTestCase",
-        arch: str = "vmx",
-        schedule: PowerSchedule | None = None,
-        max_havoc_stack: int = 3,
-    ) -> None:
-        if max_havoc_stack < 1:
-            raise ValueError("max_havoc_stack must be >= 1")
+    #: Most PoC primitives one havoc mutant stacks.
+    MAX_HAVOC_STACK = 3
+
+    def __init__(self, case: "FuzzTestCase", arch: str = "vmx") -> None:
         self.area = case.area
         self.reason = case.exit_reason
         self.arch = arch
-        self.schedule = schedule or PowerSchedule()
-        self.max_havoc_stack = max_havoc_stack
+        self.schedule = PowerSchedule()
         # The automatic harvest: every recorded seed's constants,
         # keyed per slot.  Corpus finds feed in via ``feedback``.
         self.dictionary = SeedDictionary.harvest(
@@ -628,7 +614,7 @@ class SmartEngine(MutationEngine):
         """A stack of 1..N PoC primitives — always applicable, so the
         other stages fall back here when they have nothing to bite."""
         mutant = seed
-        for _ in range(rng.randint(1, self.max_havoc_stack)):
+        for _ in range(rng.randint(1, self.MAX_HAVOC_STACK)):
             op = rng.choice(self._HAVOC_OPS)
             mutant = op(mutant, self.area, rng)
         return mutant
@@ -740,19 +726,13 @@ class SmartEngine(MutationEngine):
         return mutant
 
 
-def build_engine(
-    case: "FuzzTestCase",
-    arch: str = "vmx",
-    max_havoc_stack: int = 3,
-) -> MutationEngine:
+def build_engine(case: "FuzzTestCase", arch: str = "vmx") -> MutationEngine:
     """The engine a test case asked for (``case.engine``)."""
-    name = getattr(case, "engine", "poc")
+    name = case.engine
     if name == "poc":
         return PocEngine(case)
     if name == "smart":
-        return SmartEngine(
-            case, arch=arch, max_havoc_stack=max_havoc_stack
-        )
+        return SmartEngine(case, arch=arch)
     raise ValueError(
         f"unknown mutation engine {name!r} "
         f"(expected one of {', '.join(ENGINE_NAMES)})"

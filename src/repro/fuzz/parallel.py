@@ -24,13 +24,10 @@ The determinism contract
 
 Together these make the merged campaign result a pure function of
 ``(trace, snapshot, cases, campaign_seed, shards_per_cell, arch,
-fast_reset, differential, engine)``: the ``jobs`` worker count never changes
-results, only wall-clock time.  ``fast_reset`` appears in the tuple for
-honesty's sake only — the fast-reset differential tests pin that
-flipping it does not change the merged result either (in differential
-mode too: the cross-arch oracle always resets its secondary backend on
-the full-restore path, so the flag only touches the primary side,
-whose fast/full equivalence the same tests already pin).
+differential, engine)``: the ``jobs`` worker count never changes
+results, only wall-clock time.  Shards always run the fast-reset
+paths; the fast-reset differential tests pin that a campaign rebuilt
+from scratch on every reset gives the identical merged result.
 
 Fault isolation
 ---------------
@@ -65,6 +62,7 @@ reassigning a shard from a dead remote worker to a surviving one.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -147,11 +145,6 @@ class ShardTask:
     #: snapshot is a pure function of the task — mergeable across any
     #: ``jobs`` value without changing totals).
     collect_metrics: bool = False
-    #: Whether the shard's manager/fuzzer run with the fast-reset
-    #: (delta-restore) paths.  Part of the task so the determinism
-    #: contract covers it — the fast-reset differential tests compare
-    #: whole campaigns across this flag.
-    fast_reset: bool = True
     #: Differential mode: the shard also replays every mutant on a
     #: secondary SVM backend (through the seed translation) and records
     #: cross-backend divergences in its result.  Part of the task so
@@ -358,7 +351,7 @@ def run_shard(
     """
     from repro.core.manager import IrisManager
 
-    manager = IrisManager(arch=task.arch, fast_reset=task.fast_reset)
+    manager = IrisManager(arch=task.arch)
     if snapshot is not None and snapshot.clock_tsc > manager.hv.clock.now:
         # Timer deadlines in the snapshot (vpt.next_due, vlapic) are
         # absolute TSC values on the recording host's clock.  A fresh
@@ -374,8 +367,7 @@ def run_shard(
 
         oracle = DifferentialOracle()
     fuzzer = IrisFuzzer(
-        manager, rng=random.Random(task.rng_seed),
-        fast_reset=task.fast_reset, oracle=oracle,
+        manager, rng=random.Random(task.rng_seed), oracle=oracle,
     )
     case = FuzzTestCase(
         trace=trace,
@@ -475,12 +467,10 @@ class ParallelCampaign:
         jobs: int = 1,
         shards_per_cell: int = 1,
         shard_timeout: float | None = None,
-        start_method: str | None = None,
         on_event: Callable[[object], None] | None = None,
         fault_plan: Mapping[int, tuple[str, int]] | None = None,
         arch: str = "vmx",
         collect_metrics: bool = False,
-        fast_reset: bool = True,
         differential: bool = False,
         transport: WorkerTransport | None = None,
     ) -> None:
@@ -514,13 +504,11 @@ class ParallelCampaign:
         self.jobs = jobs
         self.shards_per_cell = shards_per_cell
         self.shard_timeout = shard_timeout
-        self.start_method = start_method
         self.on_event = on_event
         #: cell_index -> (fault kind, number of attempts to sabotage);
         #: the chaos hook the fault-isolation tests drive.
         self.fault_plan = dict(fault_plan or {})
         self.collect_metrics = collect_metrics
-        self.fast_reset = fast_reset
         #: Where shards run.  ``None`` means the default local warm
         #: pool, created lazily by the first wave; an explicit
         #: transport (e.g. ``SocketTransport``) moves execution off
@@ -551,7 +539,6 @@ class ParallelCampaign:
                     fault_kind=self._fault_for(cell_index, attempt=0),
                     arch=self.arch,
                     collect_metrics=self.collect_metrics,
-                    fast_reset=self.fast_reset,
                     differential=self.differential,
                 ))
         return tasks
@@ -630,21 +617,9 @@ class ParallelCampaign:
 
     def _retry_task(self, task: ShardTask) -> ShardTask:
         attempt = task.attempt + 1
-        return ShardTask(
-            cell_index=task.cell_index,
-            shard_index=task.shard_index,
-            seed_index=task.seed_index,
-            area=task.area,
-            n_mutations=task.n_mutations,
-            mutation_rule=task.mutation_rule,
-            engine=task.engine,
-            rng_seed=task.rng_seed,
-            attempt=attempt,
+        return dataclasses.replace(
+            task, attempt=attempt,
             fault_kind=self._fault_for(task.cell_index, attempt),
-            arch=task.arch,
-            collect_metrics=task.collect_metrics,
-            fast_reset=task.fast_reset,
-            differential=task.differential,
         )
 
     # -- transport plumbing -------------------------------------------
@@ -661,7 +636,6 @@ class ParallelCampaign:
             ("cells", str(len(self.cases))),
             ("shards_per_cell", str(self.shards_per_cell)),
             ("arch", self.arch),
-            ("fast_reset", str(self.fast_reset)),
             ("differential", str(self.differential)),
             ("engine", self.engine),
         )
@@ -675,9 +649,7 @@ class ParallelCampaign:
 
         if self._transport is None:
             self._transport = LocalPoolTransport(
-                jobs=self.jobs,
-                start_method=self.start_method,
-                shard_timeout=self.shard_timeout,
+                jobs=self.jobs, shard_timeout=self.shard_timeout,
             )
         # Idempotent: the first prime wins, later calls are no-ops.
         self._transport.prime(TransportContext(

@@ -66,6 +66,18 @@ NOISE_FILES: frozenset[str] = frozenset({
 })
 
 
+def denoise(
+    lines: frozenset[tuple[str, int]]
+) -> frozenset[tuple[str, int]]:
+    """Drop the :data:`NOISE_FILES` lines from a coverage set.
+
+    Their firing depends on TSC phase, not on the seed, so the fuzz
+    loop and the differential oracle both account coverage without
+    them.
+    """
+    return frozenset(t for t in lines if t[0] not in NOISE_FILES)
+
+
 def _iter_bits(bits: int) -> Iterator[int]:
     """Yield the set-bit positions of ``bits`` in ascending order."""
     while bits:

@@ -3,16 +3,20 @@
 A campaign interrupted after any wave and resumed from its store must
 produce **byte-identical** merged output — per-cell results, corpus,
 coverage, failures, and the metrics snapshot — to the same campaign
-run uninterrupted.  Pinned across jobs 1/4 × vmx/svm × fast-reset
-on/off, plus: resume with a *different* worker count than the
-interrupted run (jobs never participates in campaign identity), a
-kill after every possible wave, and the equivalence of store-backed
-runs at any wave size with the store-less single-wave run.
+run uninterrupted.  Pinned across jobs 1/4 × vmx/svm × the two store
+formats (as written now, and the older format whose config carries the
+since-removed ``fast_reset`` flag), plus: resume with a *different*
+worker count than the interrupted run (jobs never participates in
+campaign identity), a kill after every possible wave, and the
+equivalence of store-backed runs at any wave size with the store-less
+single-wave run.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import sqlite3
 
 import pytest
 
@@ -57,26 +61,43 @@ def cases(recordings):
     return planned
 
 
-def make_engine(recordings, cases, arch, fast_reset, jobs):
+def make_engine(recordings, cases, arch, jobs):
     session = recordings[arch]
     return ParallelCampaign(
         session.trace, session.snapshot, cases[arch],
         campaign_seed=CAMPAIGN_SEED, jobs=jobs, arch=arch,
-        fast_reset=fast_reset, collect_metrics=True,
+        collect_metrics=True,
     )
 
 
 @pytest.fixture(scope="module")
 def references(recordings, cases):
-    """Uninterrupted controlled runs, one per (arch, fast_reset)."""
-    refs = {}
-    for arch in ("vmx", "svm"):
-        for fast in (True, False):
-            engine = make_engine(recordings, cases, arch, fast, jobs=1)
-            refs[(arch, fast)] = CampaignController(
-                engine, wave_size=1
-            ).run()
-    return refs
+    """Uninterrupted controlled runs, one per arch."""
+    return {
+        arch: CampaignController(
+            make_engine(recordings, cases, arch, jobs=1), wave_size=1
+        ).run()
+        for arch in ("vmx", "svm")
+    }
+
+
+def rewrite_as_older_format(db: str, fast_reset: bool) -> None:
+    """Give a store's config the ``fast_reset`` key that stores kept
+    before campaigns had a single reset policy (``False`` is what
+    the removed ``iris-fuzz --no-fast-reset`` wrote)."""
+    conn = sqlite3.connect(db)
+    with conn:
+        (text,) = conn.execute(
+            "SELECT value FROM meta WHERE key='config'"
+        ).fetchone()
+        payload = json.loads(text)
+        assert "fast_reset" not in payload
+        payload["fast_reset"] = fast_reset
+        conn.execute(
+            "UPDATE meta SET value=? WHERE key='config'",
+            (json.dumps(payload, sort_keys=True, separators=(",", ":")),),
+        )
+    conn.close()
 
 
 def assert_byte_identical(resumed, reference):
@@ -96,16 +117,22 @@ def assert_byte_identical(resumed, reference):
 
 
 @pytest.mark.parametrize("arch", ["vmx", "svm"])
-@pytest.mark.parametrize("fast_reset", [True, False],
+@pytest.mark.parametrize("stored_fast_reset", [None, False],
                          ids=["fast", "slow"])
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_interrupt_and_resume_is_byte_identical(
-    tmp_path, recordings, cases, references, arch, fast_reset, jobs
+    tmp_path, recordings, cases, references, arch, stored_fast_reset,
+    jobs
 ):
     """Kill after wave 1, resume (with a different worker count), and
-    compare the final output to the uninterrupted run's."""
+    compare the final output to the uninterrupted run's.
+
+    ``fast`` resumes the store as written; ``slow`` first rewrites its
+    config to the older format with ``"fast_reset": false``, as the
+    removed ``iris-fuzz --no-fast-reset`` wrote it.  The key is dropped
+    on load, since it never changed a result byte."""
     db = str(tmp_path / "campaign.db")
-    engine = make_engine(recordings, cases, arch, fast_reset, jobs)
+    engine = make_engine(recordings, cases, arch, jobs)
     with CampaignStore(db) as store:
         controller = CampaignController(
             engine, store, wave_size=1, crash_after_wave=1,
@@ -113,35 +140,35 @@ def test_interrupt_and_resume_is_byte_identical(
         with pytest.raises(CampaignInterrupted) as excinfo:
             controller.run()
     assert excinfo.value.wave_index == 1
+    if stored_fast_reset is not None:
+        rewrite_as_older_format(db, stored_fast_reset)
 
     # resume on a different jobs value: worker count is not part of
     # the campaign's identity, so this must be allowed *and* identical
     resume_jobs = 1 if jobs == 4 else 4
-    engine2 = make_engine(
-        recordings, cases, arch, fast_reset, resume_jobs
-    )
+    engine2 = make_engine(recordings, cases, arch, resume_jobs)
     with CampaignStore(db) as store:
         resumed = CampaignController(
             engine2, store, wave_size=1
         ).run(resume=True)
     assert resumed.waves_resumed == 2
     assert resumed.waves_total == 4
-    assert_byte_identical(resumed, references[(arch, fast_reset)])
+    assert_byte_identical(resumed, references[arch])
 
 
 def test_kill_after_every_wave(tmp_path, recordings, cases, references):
     """Resume determinism holds no matter *which* wave the death hits."""
-    reference = references[("vmx", True)]
+    reference = references["vmx"]
     n_waves = len(plan_waves(len(cases["vmx"]), 1))
     for k in range(n_waves - 1):
         db = str(tmp_path / f"kill-{k}.db")
-        engine = make_engine(recordings, cases, "vmx", True, jobs=1)
+        engine = make_engine(recordings, cases, "vmx", jobs=1)
         with CampaignStore(db) as store:
             with pytest.raises(CampaignInterrupted):
                 CampaignController(
                     engine, store, wave_size=1, crash_after_wave=k,
                 ).run()
-        engine2 = make_engine(recordings, cases, "vmx", True, jobs=1)
+        engine2 = make_engine(recordings, cases, "vmx", jobs=1)
         with CampaignStore(db) as store:
             resumed = CampaignController(
                 engine2, store, wave_size=1
@@ -156,7 +183,7 @@ def _differential_engine(recordings, cases, jobs):
     return ParallelCampaign(
         session.trace, session.snapshot, cases["vmx"],
         campaign_seed=CAMPAIGN_SEED, jobs=jobs, arch="vmx",
-        fast_reset=True, collect_metrics=True, differential=True,
+        collect_metrics=True, differential=True,
     )
 
 
@@ -210,10 +237,10 @@ def test_controller_equals_plain_engine(
     """Without a store the controller runs the whole plan as one wave,
     whatever ``wave_size`` says; store-backed runs at every wave size
     land on the identical results, corpus, coverage, and metrics."""
-    plain = references[("vmx", True)]
+    plain = references["vmx"]
     assert plain.waves_total == 1
     for wave_size in (1, 2, 3, 4):
-        engine = make_engine(recordings, cases, "vmx", True, jobs=1)
+        engine = make_engine(recordings, cases, "vmx", jobs=1)
         db = str(tmp_path / f"waves-{wave_size}.db")
         with CampaignStore(db) as store:
             controlled = CampaignController(
@@ -227,9 +254,9 @@ def test_wave_size_does_not_change_checkpointed_output(
     tmp_path, recordings, cases, references
 ):
     """Checkpoint granularity is invisible in the merged output."""
-    reference = references[("vmx", True)]
+    reference = references["vmx"]
     db = str(tmp_path / "wide-waves.db")
-    engine = make_engine(recordings, cases, "vmx", True, jobs=1)
+    engine = make_engine(recordings, cases, "vmx", jobs=1)
     with CampaignStore(db) as store:
         run = CampaignController(engine, store, wave_size=3).run()
     assert run.waves_total == 2  # 3 cells + 1 cell
@@ -240,29 +267,29 @@ def test_resume_of_completed_campaign_is_a_noop(
     tmp_path, recordings, cases, references
 ):
     db = str(tmp_path / "complete.db")
-    engine = make_engine(recordings, cases, "vmx", True, jobs=1)
+    engine = make_engine(recordings, cases, "vmx", jobs=1)
     with CampaignStore(db) as store:
         CampaignController(engine, store, wave_size=1).run()
-    engine2 = make_engine(recordings, cases, "vmx", True, jobs=1)
+    engine2 = make_engine(recordings, cases, "vmx", jobs=1)
     with CampaignStore(db) as store:
         resumed = CampaignController(
             engine2, store, wave_size=1
         ).run(resume=True)
     assert resumed.waves_resumed == resumed.waves_total == 4
-    assert_byte_identical(resumed, references[("vmx", True)])
+    assert_byte_identical(resumed, references["vmx"])
 
 
 def test_store_reuse_without_resume_refused(
     tmp_path, recordings, cases
 ):
     db = str(tmp_path / "reuse.db")
-    engine = make_engine(recordings, cases, "vmx", True, jobs=1)
+    engine = make_engine(recordings, cases, "vmx", jobs=1)
     with CampaignStore(db) as store:
         with pytest.raises(CampaignInterrupted):
             CampaignController(
                 engine, store, wave_size=1, crash_after_wave=0,
             ).run()
-    engine2 = make_engine(recordings, cases, "vmx", True, jobs=1)
+    engine2 = make_engine(recordings, cases, "vmx", jobs=1)
     with CampaignStore(db) as store:
         with pytest.raises(StoreMismatchError, match="already holds"):
             CampaignController(engine2, store, wave_size=1).run()
@@ -272,7 +299,7 @@ def test_resume_with_mismatched_identity_refused(
     tmp_path, recordings, cases
 ):
     db = str(tmp_path / "mismatch.db")
-    engine = make_engine(recordings, cases, "vmx", True, jobs=1)
+    engine = make_engine(recordings, cases, "vmx", jobs=1)
     with CampaignStore(db) as store:
         with pytest.raises(CampaignInterrupted):
             CampaignController(
@@ -296,7 +323,7 @@ def test_resume_with_mismatched_identity_refused(
 
 def test_resume_of_empty_store_refused(tmp_path, recordings, cases):
     db = str(tmp_path / "empty.db")
-    engine = make_engine(recordings, cases, "vmx", True, jobs=1)
+    engine = make_engine(recordings, cases, "vmx", jobs=1)
     with CampaignStore(db) as store:
         with pytest.raises(StoreMismatchError, match="no campaign"):
             CampaignController(

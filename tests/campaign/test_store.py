@@ -11,6 +11,8 @@ pinned by message: stores from other builds refuse loudly.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -231,7 +233,7 @@ class TestRoundTrip:
     def test_config_round_trips(self):
         config = CampaignConfig(
             campaign_seed=0xC0FFEE, n_cells=4, shards_per_cell=2,
-            wave_size=3, arch="svm", fast_reset=False,
+            wave_size=3, arch="svm",
             collect_metrics=True, differential=True,
             extra=(("exits", "200"), ("workload", "cpu-bound")),
         )
@@ -240,6 +242,15 @@ class TestRoundTrip:
         store.initialize(config)
         assert store.config() == config
         store.close()
+
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_older_config_fast_reset_key_dropped(self, stored):
+        """Configs written before campaigns had one reset policy carry
+        a ``fast_reset`` key; either value loads as if it were absent."""
+        config = _config(2)
+        payload = json.loads(config.to_json())
+        payload["fast_reset"] = stored
+        assert CampaignConfig.from_json(json.dumps(payload)) == config
 
     def test_wave_metrics_round_trip(self):
         result = FuzzResult(

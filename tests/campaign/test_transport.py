@@ -433,7 +433,6 @@ _STALL_TASK = ShardTask(
     area=MutationArea.VMCS, n_mutations=1,
     mutation_rule="bit-flip", rng_seed=1, attempt=0,
     arch="vmx", fault_kind=None, collect_metrics=False,
-    fast_reset=True,
 )
 
 

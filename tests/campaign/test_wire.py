@@ -84,19 +84,23 @@ class TestFrames:
             b.close()
 
     def test_version_skew_refused(self):
-        a, b = _pair()
-        try:
-            header = wire._HEADER.pack(
-                wire.MAGIC, wire.WIRE_VERSION + 1,
-                int(wire.FrameKind.TASK), 0,
-            )
-            a.sendall(header)
-            with pytest.raises(TransportProtocolError,
-                               match="wire version"):
-                wire.recv_frame(b)
-        finally:
-            a.close()
-            b.close()
+        # A newer peer, and a v3 peer whose tasks still carry the
+        # removed ``fast_reset`` flag: both are refused at the header.
+        for version in (wire.WIRE_VERSION + 1, 3):
+            a, b = _pair()
+            try:
+                header = wire._HEADER.pack(
+                    wire.MAGIC, version, int(wire.FrameKind.TASK), 0,
+                )
+                a.sendall(header)
+                with pytest.raises(
+                    TransportProtocolError,
+                    match=f"wire version {version} is not supported",
+                ):
+                    wire.recv_frame(b)
+            finally:
+                a.close()
+                b.close()
 
     def test_unknown_kind_refused(self):
         a, b = _pair()
@@ -151,7 +155,6 @@ _BASE_TASK = ShardTask(
     area=MutationArea.VMCS, n_mutations=9,
     mutation_rule="bit-flip", rng_seed=0xDEADBEEF, attempt=1,
     arch="svm", fault_kind=None, collect_metrics=True,
-    fast_reset=False,
 )
 
 

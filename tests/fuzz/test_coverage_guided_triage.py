@@ -1,10 +1,10 @@
 """Tests for the coverage-guided fuzzer and crash triage extensions."""
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.fuzz.coverage_guided import CoverageGuidedFuzzer
 from repro.fuzz.failures import FailureKind, FailureRecord
 from repro.fuzz.fuzzer import IrisFuzzer
 from repro.fuzz.mutations import MutationArea
@@ -25,68 +25,43 @@ def guided_case(cpu_session):
     return manager, session, cases[0]
 
 
+def run_engine(guided_case, engine, budget, seed):
+    """One fuzz-loop run of the guided case on ``engine``."""
+    manager, session, case = guided_case
+    case = dataclasses.replace(case, n_mutations=budget, engine=engine)
+    return IrisFuzzer(manager, rng=random.Random(seed)).run_test_case(
+        case, from_snapshot=session.snapshot
+    )
+
+
 class TestCoverageGuided:
+    """The smart engine (§IX's coverage-guided fuzzer) through the one
+    fuzz loop, :meth:`IrisFuzzer.run_test_case`."""
+
     def test_campaign_runs_to_budget(self, guided_case):
-        manager, session, case = guided_case
-        fuzzer = CoverageGuidedFuzzer(manager,
-                                      rng=random.Random(21))
-        report = fuzzer.run_campaign(
-            case, iterations=150, from_snapshot=session.snapshot
-        )
-        assert report.executions == 150
-        assert len(report.coverage_curve) == 150
+        result = run_engine(guided_case, "smart", budget=150, seed=21)
+        assert result.mutations_run == 150
 
-    def test_coverage_curve_monotonic(self, guided_case):
-        manager, session, case = guided_case
-        fuzzer = CoverageGuidedFuzzer(manager,
-                                      rng=random.Random(22))
-        report = fuzzer.run_campaign(
-            case, iterations=100, from_snapshot=session.snapshot
+    def test_discoveries_join_corpus(self, guided_case):
+        result = run_engine(guided_case, "smart", budget=150, seed=23)
+        assert result.new_loc > 0
+        assert any(
+            entry.reason_kept == "new-coverage"
+            for entry in result.corpus.entries
         )
-        assert report.coverage_curve == \
-            sorted(report.coverage_curve)
-        assert report.coverage_curve[-1] == report.total_new_loc
-
-    def test_queue_grows_with_discoveries(self, guided_case):
-        manager, session, case = guided_case
-        fuzzer = CoverageGuidedFuzzer(manager,
-                                      rng=random.Random(23))
-        report = fuzzer.run_campaign(
-            case, iterations=150, from_snapshot=session.snapshot
-        )
-        assert report.total_new_loc > 0
-        assert report.queue_size > 1
-        assert report.max_depth >= 1
 
     def test_guided_beats_naive_on_equal_budget(self, guided_case):
         # The §IX motivation: smarter scheduling finds more coverage
         # than the PoC's single bit-flip for the same execution count.
-        manager, session, case = guided_case
-        budget = 250
-        guided = CoverageGuidedFuzzer(
-            manager, rng=random.Random(24)
-        ).run_campaign(
-            case, iterations=budget, from_snapshot=session.snapshot
-        )
-        naive_case = FuzzTestCase(
-            trace=case.trace, seed_index=case.seed_index,
-            area=case.area, n_mutations=budget,
-        )
-        naive = IrisFuzzer(
-            manager, rng=random.Random(24)
-        ).run_test_case(naive_case, from_snapshot=session.snapshot)
-        assert guided.total_new_loc >= naive.new_loc
+        guided = run_engine(guided_case, "smart", budget=250, seed=24)
+        naive = run_engine(guided_case, "poc", budget=250, seed=24)
+        assert guided.new_loc >= naive.new_loc
 
     def test_crashes_restored_and_counted(self, guided_case):
-        manager, session, case = guided_case
-        fuzzer = CoverageGuidedFuzzer(manager,
-                                      rng=random.Random(25))
-        report = fuzzer.run_campaign(
-            case, iterations=200, from_snapshot=session.snapshot
-        )
+        result = run_engine(guided_case, "smart", budget=200, seed=25)
         # Mutation stacks hit the same crash arms the PoC does.
-        assert report.vm_crashes + report.hypervisor_crashes > 0
-        assert report.failures
+        assert result.vm_crashes + result.hypervisor_crashes > 0
+        assert result.failures
 
 
 def record_of(kind, cause, reason, seed_reason=ExitReason.RDTSC):

@@ -3,10 +3,14 @@
 The fast-reset contract, pinned here:
 
 * **Campaign level** (the venue where every shard reaches its target
-  state exactly once): flipping ``fast_reset`` must not change the
-  merged result *at all* — per-cell results including failure records
-  and corpora, merged coverage, merged metrics — and neither may the
-  ``jobs`` worker count.  Both arches, ``jobs`` 1 and 4.
+  state exactly once): a campaign — which always runs the fast-reset
+  paths — must equal the same planned shards re-run with every reset
+  rebuilt from scratch *exactly* — per-cell results including failure
+  records and corpora, merged coverage, merged metrics — and the
+  ``jobs`` worker count must not change that.  Both arches, ``jobs``
+  1 and 4; on vmx also with the cross-arch differential oracle on,
+  where divergence records, comparison tallies and the rendered
+  divergence report must match as well.
 * **Serial level**: a full case sweep with the manager's dummy-VM
   reuse and the fuzzer's target-state cache engaged must agree with
   the rebuild-everything mode on every count that doesn't embed the
@@ -21,16 +25,27 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from functools import reduce
 
 import pytest
 
 from repro.campaign import CampaignController
 from repro.core.manager import IrisManager
 from repro.core.snapshot import take_snapshot
-from repro.fuzz.fuzzer import IrisFuzzer
+from repro.fuzz.differential import (
+    DifferentialOracle,
+    iter_divergences,
+    render_divergence_report,
+)
+from repro.fuzz.fuzzer import FuzzResult, IrisFuzzer
 from repro.fuzz.mutations import MutationArea
-from repro.fuzz.parallel import ParallelCampaign
-from repro.fuzz.testcase import plan_test_cases
+from repro.fuzz.parallel import (
+    CampaignResult,
+    CampaignStats,
+    ParallelCampaign,
+)
+from repro.fuzz.testcase import FuzzTestCase, plan_test_cases
+from repro.obs import MetricsRegistry, MetricsSnapshot, observability
 from repro.vmx.exit_reasons import ExitReason
 
 REASONS = [ExitReason.CPUID, ExitReason.RDTSC, ExitReason.HLT]
@@ -58,27 +73,91 @@ def _plan(session, n_mutations=6):
 
 # ---- campaign-level differential -------------------------------------
 
-def _campaign(session, arch, fast_reset, jobs):
-    return CampaignController(ParallelCampaign(
+def _engine(session, arch, jobs, differential=False):
+    return ParallelCampaign(
         session.trace, session.snapshot, _plan(session),
         campaign_seed=7, jobs=jobs, shards_per_cell=2,
-        arch=arch, fast_reset=fast_reset, collect_metrics=True,
-    )).run()
+        arch=arch, collect_metrics=True, differential=differential,
+    )
+
+
+def _campaign(session, arch, jobs, differential=False):
+    return CampaignController(
+        _engine(session, arch, jobs, differential)
+    ).run()
+
+
+def _rebuild_reference(engine: ParallelCampaign) -> CampaignResult:
+    """The engine's planned shards, run serially with every reset on
+    the full-rebuild path: what ``run_shard`` does, but with
+    ``IrisManager``/``IrisFuzzer(fast_reset=False)``, and each shard's
+    metrics captured in its own wall-clock-free registry."""
+    shards: dict[int, list[FuzzResult]] = {}
+    metrics: list[MetricsSnapshot] = []
+    snapshot = engine.snapshot
+    assert snapshot is not None
+    for task in engine.plan():
+        registry = MetricsRegistry(record_wall=False)
+        with observability(metrics=registry):
+            manager = IrisManager(arch=task.arch, fast_reset=False)
+            # run_shard's fast-forward into the snapshot's clock domain.
+            clock = manager.hv.clock
+            if snapshot.clock_tsc > clock.now:
+                clock.advance(snapshot.clock_tsc - clock.now)
+            oracle = DifferentialOracle() if task.differential else None
+            fuzzer = IrisFuzzer(
+                manager, rng=random.Random(task.rng_seed),
+                oracle=oracle, fast_reset=False,
+            )
+            case = FuzzTestCase(
+                trace=engine.trace, seed_index=task.seed_index,
+                area=task.area, n_mutations=task.n_mutations,
+                mutation_rule=task.mutation_rule, engine=task.engine,
+            )
+            shards.setdefault(task.cell_index, []).append(
+                fuzzer.run_test_case(case, from_snapshot=snapshot)
+            )
+        metrics.append(registry.snapshot())
+    return CampaignResult(
+        results=[
+            reduce(FuzzResult.merge, shards[cell])
+            for cell in sorted(shards)
+        ],
+        stats=CampaignStats(),
+        metrics=MetricsSnapshot.merge_all(metrics),
+    )
+
+
+def _tallies(outcome: CampaignResult) -> list[tuple[int, int]]:
+    return [
+        (r.seeds_compared, r.untranslatable_seeds)
+        for r in outcome.results
+    ]
+
+
+def _report(outcome: CampaignResult) -> str:
+    return render_divergence_report(
+        list(iter_divergences(outcome.results)),
+        seeds_compared=sum(r.seeds_compared for r in outcome.results),
+        untranslatable_seeds=sum(
+            r.untranslatable_seeds for r in outcome.results
+        ),
+    )
 
 
 class TestCampaignDifferential:
     def test_fast_reset_and_jobs_change_nothing(self, arch_session):
         arch, session = arch_session
-        reference = _campaign(session, arch, fast_reset=False, jobs=1)
+        reference = _rebuild_reference(_engine(session, arch, jobs=1))
         assert reference.results, "campaign produced no cells"
-        assert not reference.abandoned_cells
 
         for jobs in (1, 4):
-            fast = _campaign(session, arch, fast_reset=True, jobs=jobs)
+            fast = _campaign(session, arch, jobs=jobs)
             # Byte-identical cells: counts, discovered lines, failure
             # records (log tails included), corpora.
             assert fast.results == reference.results, (
-                f"fast_reset=True jobs={jobs} diverged on {arch}"
+                f"fast-reset campaign at jobs={jobs} diverged from "
+                f"the rebuild reference on {arch}"
             )
             assert fast.abandoned_cells == reference.abandoned_cells
             assert (fast.merged_coverage()
@@ -86,11 +165,35 @@ class TestCampaignDifferential:
             assert fast.merged_corpus() == reference.merged_corpus()
             assert fast.metrics == reference.metrics
 
+    @pytest.mark.parametrize("arch_session", ["vmx"], indirect=True)
+    def test_differential_fast_reset_and_jobs_change_nothing(
+        self, arch_session
+    ):
+        """With the cross-arch oracle on (vmx only), the primary's
+        fast resets change no divergence record, comparison tally or
+        rendered report byte against the full-rebuild reference."""
+        _, session = arch_session
+        reference = _rebuild_reference(
+            _engine(session, "vmx", jobs=1, differential=True)
+        )
+        assert sum(r.seeds_compared for r in reference.results) > 0
+        assert sum(len(r.divergences) for r in reference.results) > 0
+
+        for jobs in (1, 4):
+            fast = _campaign(session, "vmx", jobs=jobs, differential=True)
+            assert fast.results == reference.results, jobs
+            assert [r.divergences for r in fast.results] == [
+                r.divergences for r in reference.results
+            ]
+            assert _tallies(fast) == _tallies(reference)
+            assert _report(fast) == _report(reference)
+            assert fast.metrics == reference.metrics
+
     def test_crashes_actually_happen(self, arch_session):
         """The differential is vacuous unless the crash-revert loop —
         the code path fast reset changes — actually runs."""
         arch, session = arch_session
-        outcome = _campaign(session, arch, fast_reset=True, jobs=1)
+        outcome = _campaign(session, arch, jobs=1)
         tallies = outcome.crash_tallies()
         assert tallies["vm-crash"] + tallies["hypervisor-crash"] > 0
 

@@ -404,20 +404,15 @@ class TestSmartEngineInvariance:
 class TestDifferentialOracleMatrix:
     """The tentpole determinism contract for ``--differential``: the
     divergence records — and the *rendered report*, byte for byte —
-    are a pure function of the campaign coordinates.  Worker count and
-    the primary's fast-reset mode must never change a divergence byte
-    (the oracle's own resets always take the full-restore path)."""
+    are a pure function of the campaign coordinates.  Worker count
+    must never change a divergence byte."""
 
     @pytest.fixture(scope="class")
     def matrix(self, recorded, cases):
-        outcomes = {}
-        for jobs in (1, 4):
-            for fast in (True, False):
-                outcomes[(jobs, fast)] = run_campaign(
-                    recorded, cases, jobs,
-                    differential=True, fast_reset=fast,
-                )
-        return outcomes
+        return {
+            jobs: run_campaign(recorded, cases, jobs, differential=True)
+            for jobs in (1, 4)
+        }
 
     @staticmethod
     def _report(outcome) -> str:
@@ -437,7 +432,7 @@ class TestDifferentialOracleMatrix:
         )
 
     def test_oracle_actually_fires(self, matrix):
-        reference = matrix[(1, True)]
+        reference = matrix[1]
         assert sum(
             len(r.divergences) for r in reference.results
         ) > 0
@@ -448,21 +443,21 @@ class TestDifferentialOracleMatrix:
     def test_divergences_identical_across_the_matrix(self, matrix):
         """Structural identity of the records themselves (dataclass
         equality covers kind, mutant seed bytes, outcomes, detail)."""
-        reference = [r.divergences for r in matrix[(1, True)].results]
+        reference = [r.divergences for r in matrix[1].results]
         for key, outcome in matrix.items():
             assert [
                 r.divergences for r in outcome.results
             ] == reference, key
 
     def test_rendered_reports_byte_identical(self, matrix):
-        reference = self._report(matrix[(1, True)])
+        reference = self._report(matrix[1])
         for key, outcome in matrix.items():
             assert self._report(outcome) == reference, key
 
     def test_comparison_tallies_identical(self, matrix):
         reference = [
             (r.seeds_compared, r.untranslatable_seeds)
-            for r in matrix[(1, True)].results
+            for r in matrix[1].results
         ]
         for outcome in matrix.values():
             assert [
