@@ -33,6 +33,11 @@ comparisons and dict keys work across both spellings.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
+
+#: Bit width of each :class:`FieldWidth`, indexed by its value.
+_WIDTH_BITS = (16, 64, 32, 64)
+_WIDTH_MASKS = tuple((1 << bits) - 1 for bits in _WIDTH_BITS)
 
 
 class FieldWidth(enum.IntEnum):
@@ -45,11 +50,11 @@ class FieldWidth(enum.IntEnum):
 
     @property
     def bits(self) -> int:
-        return {0: 16, 1: 64, 2: 32, 3: 64}[int(self)]
+        return _WIDTH_BITS[self]
 
     @property
     def mask(self) -> int:
-        return (1 << self.bits) - 1
+        return _WIDTH_MASKS[self]
 
 
 class FieldType(enum.IntEnum):
@@ -250,14 +255,18 @@ class ArchField(enum.IntEnum):
     HOST_RIP = 0x6C16
 
 
+_WIDTHS = tuple(FieldWidth)
+_TYPES = tuple(FieldType)
+
+
 def field_width(field: int) -> FieldWidth:
     """Decode the width from bits 14:13 of a field encoding."""
-    return FieldWidth((int(field) >> 13) & 0x3)
+    return _WIDTHS[(int(field) >> 13) & 0x3]
 
 
 def field_type(field: int) -> FieldType:
     """Decode the type from bits 11:10 of a field encoding."""
-    return FieldType((int(field) >> 10) & 0x3)
+    return _TYPES[(int(field) >> 10) & 0x3]
 
 
 def is_read_only(field: int) -> bool:
@@ -270,6 +279,37 @@ def is_read_only(field: int) -> bool:
     instead (paper §V-B).
     """
     return field_type(field) is FieldType.EXIT_INFO
+
+
+class FieldInfo(NamedTuple):
+    """What the data path needs to know about one field encoding."""
+
+    member: ArchField
+    mask: int
+    read_only: bool
+
+
+#: Per-field metadata keyed by encoding.  ``IntEnum`` members hash and
+#: compare like their values, so a bare int and an :class:`ArchField`
+#: find the same entry: the guest-state data path looks a field up here
+#: instead of constructing the enum member on every access.
+FIELD_INFO: dict[int, FieldInfo] = {
+    int(f): FieldInfo(f, field_width(f).mask, is_read_only(f))
+    for f in ArchField
+}
+
+
+def unknown_field(field: object) -> ValueError:
+    """The error for an encoding no :class:`ArchField` has."""
+    return ValueError(f"{field!r} is not a valid ArchField")
+
+
+def field_info(field: int) -> FieldInfo:
+    """The :class:`FieldInfo` of ``field``; ``ValueError`` if unknown."""
+    try:
+        return FIELD_INFO[field]
+    except (KeyError, TypeError):
+        raise unknown_field(field) from None
 
 
 #: Canonical ordered field list; the seed format's 1-byte encoding is an

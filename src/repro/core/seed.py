@@ -27,7 +27,7 @@ from repro.arch.fields import (
     field_by_index,
     field_index,
 )
-from repro.x86.registers import GPR
+from repro.x86.registers import GPR, gpr_by_encoding
 
 #: struct layout: flag (1B), encoding (1B), value (8B little-endian).
 _ENTRY_STRUCT = struct.Struct("<BBQ")
@@ -108,7 +108,7 @@ class SeedEntry(NamedTuple):
     def gpr(self) -> GPR:
         if self.flag is not SeedFlag.GPR:
             raise ValueError("not a GPR entry")
-        return GPR(self.encoding)
+        return gpr_by_encoding(self.encoding)
 
     @property
     def vmcs_field(self) -> ArchField:

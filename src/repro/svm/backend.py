@@ -38,7 +38,7 @@ from repro.arch.backend import (
     LAUNCH_LAUNCHED,
     apply_reset_state,
 )
-from repro.arch.fields import ArchField, field_width
+from repro.arch.fields import ArchField, field_info, field_width
 from repro.errors import SvmError
 from repro.obs import OBS
 from repro.svm.consistency_checks import check_vmrun
@@ -163,9 +163,8 @@ class SvmBackend:
         self.write_raw(vcpu, fld, value)
 
     def read_raw(self, vcpu: "Vcpu", fld: ArchField) -> int:
-        fld = ArchField(fld)
+        fld, mask, _ = field_info(fld)
         vmcb = self._vmcb(vcpu)
-        mask = field_width(fld).mask
         if fld is ArchField.VM_EXIT_REASON:
             return self._decode_exit_reason(vcpu, vmcb) & mask
         if fld is ArchField.VM_EXIT_INSTRUCTION_LEN:
@@ -178,9 +177,9 @@ class SvmBackend:
         return vcpu.svm.shadow.get(fld, 0) & mask
 
     def write_raw(self, vcpu: "Vcpu", fld: ArchField, value: int) -> None:
-        fld = ArchField(fld)
+        fld, mask, _ = field_info(fld)
         vmcb = self._vmcb(vcpu)
-        value &= field_width(fld).mask
+        value &= mask
         if fld is ArchField.VM_EXIT_REASON:
             self._encode_exit_reason(vcpu, vmcb, value)
             return

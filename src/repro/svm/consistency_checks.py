@@ -5,11 +5,11 @@ and, if the guest state is illegal, exits immediately with
 ``VMEXIT_INVALID`` instead of running the guest.  The *illegal states*
 largely coincide with VT-x's — CR0/CR4 reserved bits, RFLAGS fixed
 bits, canonical RIP, malformed segment descriptors — so we reuse the
-same check groups from :mod:`repro.vmx.entry_checks` through a
-duck-typed reader.  That keeps the check-identifier strings (e.g.
-``cr0.reserved``, ``rip.canonical``) identical across backends, which
-is what makes crash summaries and the paper's Table 4 bug buckets
-comparable between architectures.
+same check groups, and their memo, from :mod:`repro.vmx.entry_checks`
+over values read through the backend.  That keeps the check-identifier
+strings (e.g. ``cr0.reserved``, ``rip.canonical``) identical across
+backends, which is what makes crash summaries and the paper's Table 4
+bug buckets comparable between architectures.
 
 SVM-specific conditions (APM §15.5.1 "canonicalization and consistency
 checks") are appended on top: ASID 0 is reserved for the host, and
@@ -18,27 +18,10 @@ EFER.SVME must be set for VMRUN to execute at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.arch.fields import ArchField
-from repro.vmx.entry_checks import (
-    EntryCheckViolation,
-    _check_control_registers,
-    _check_non_register_state,
-    _check_rflags_rip,
-    _check_segments,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    pass
-
-
-@dataclass(frozen=True)
-class _FieldReader:
-    """Adapter giving the entry-check groups their ``.read(fld)``."""
-
-    read: Callable[[ArchField], int]
+from repro.vmx.entry_checks import EntryCheckViolation, check_guest_state
 
 
 def check_vmrun(
@@ -53,12 +36,7 @@ def check_vmrun(
     backend passes its raw VMCB/shadow read).  Returns the list of
     violations; empty means VMRUN would proceed into the guest.
     """
-    reader = _FieldReader(read)
-    out: list[EntryCheckViolation] = []
-    _check_control_registers(reader, out)
-    _check_rflags_rip(reader, out)
-    _check_segments(reader, out)
-    _check_non_register_state(reader, out)
+    out = check_guest_state(read)
     if asid is not None and asid == 0:
         out.append(
             EntryCheckViolation(

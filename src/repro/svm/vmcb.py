@@ -123,6 +123,19 @@ class VmcbField(enum.IntEnum):
         return int(self) >= VMCB_SAVE_AREA_OFFSET
 
 
+#: Every slot keyed by offset; ``IntEnum`` members hash like their
+#: values, so a bare offset finds its member without constructing it.
+VMCB_SLOTS: dict[int, VmcbField] = {int(f): f for f in VmcbField}
+
+
+def vmcb_slot(fld: int) -> VmcbField:
+    """The :class:`VmcbField` at offset ``fld``; ``ValueError`` if none."""
+    try:
+        return VMCB_SLOTS[fld]
+    except (KeyError, TypeError):
+        raise ValueError(f"{fld!r} is not a valid VmcbField") from None
+
+
 @dataclass
 class Vmcb:
     """One VMCB region: a flat field store addressed by offset.
@@ -138,20 +151,20 @@ class Vmcb:
     dirty: set[VmcbField] = field(default_factory=set)
 
     def read(self, fld: VmcbField) -> int:
-        return self._fields.get(VmcbField(fld), 0)
+        return self._fields.get(vmcb_slot(fld), 0)
 
     def write(self, fld: VmcbField, value: int) -> None:
-        fld = VmcbField(fld)
+        fld = vmcb_slot(fld)
         self._fields[fld] = value & MASK64
         self.dirty.add(fld)
 
     def restore_slot(self, fld: VmcbField, value: int) -> None:
         """Snapshot-side write: no dirty marking."""
-        self._fields[VmcbField(fld)] = value & MASK64
+        self._fields[vmcb_slot(fld)] = value & MASK64
 
     def erase_slot(self, fld: VmcbField) -> None:
         """Forget a slot, as a full :meth:`load_contents` would."""
-        self._fields.pop(VmcbField(fld), None)
+        self._fields.pop(vmcb_slot(fld), None)
 
     def mark_clean(self) -> None:
         """Reset the write set (snapshot taken/restored here)."""
@@ -163,7 +176,7 @@ class Vmcb:
     def load_contents(self, values: dict[VmcbField, int]) -> None:
         self.dirty.update(self._fields)
         self._fields = {
-            VmcbField(f): v & MASK64 for f, v in values.items()
+            vmcb_slot(f): v & MASK64 for f, v in values.items()
         }
         self.dirty.update(self._fields)
 

@@ -7,11 +7,19 @@ a failed entry is one of the fuzzer's "VM crash" outcomes.
 
 :func:`check_vm_entry` returns *all* violations rather than the first,
 which the fuzzer's failure triage uses to cluster crash causes.
+
+The checks fall into four groups, run in this order: control registers
+and EFER, RFLAGS and RIP, segment registers, and non-register state.
+Each group is a pure function of guest-state values, so
+:func:`check_guest_state` memoises the verdict on everything but RIP
+(see DESIGN.md §8, "The guest-state data path").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from repro.x86.registers import (
     CR0_RESERVED,
@@ -41,6 +49,10 @@ _RFLAGS_RESERVED = (
 
 _SEGMENT_ORDER = ("ES", "CS", "SS", "DS", "FS", "GS", "LDTR", "TR")
 
+#: EFER.LMA as a plain int: the RIP checks run on every entry, and an
+#: ``IntFlag`` operand would route the ``&`` through the enum machinery.
+_EFER_LMA = int(EferBits.LMA)
+
 
 @dataclass(frozen=True)
 class EntryCheckViolation:
@@ -53,11 +65,10 @@ class EntryCheckViolation:
         return f"[{self.check}] {self.message}"
 
 
-def _check_control_registers(vmcs: Vmcs, out: list[EntryCheckViolation]) -> None:
-    cr0 = vmcs.read(VmcsField.GUEST_CR0)
-    cr3 = vmcs.read(VmcsField.GUEST_CR3)
-    cr4 = vmcs.read(VmcsField.GUEST_CR4)
-
+def _check_control_registers(
+    cr0: int, cr3: int, cr4: int, efer: int,
+    out: list[EntryCheckViolation],
+) -> None:
     if cr0 & CR0_RESERVED:
         out.append(EntryCheckViolation(
             "cr0.reserved",
@@ -83,7 +94,6 @@ def _check_control_registers(vmcs: Vmcs, out: list[EntryCheckViolation]) -> None
             "physical address width",
         ))
 
-    efer = vmcs.read(VmcsField.GUEST_IA32_EFER)
     lme = bool(efer & EferBits.LME)
     lma = bool(efer & EferBits.LMA)
     pg = bool(cr0 & Cr0.PG)
@@ -99,12 +109,11 @@ def _check_control_registers(vmcs: Vmcs, out: list[EntryCheckViolation]) -> None
         ))
 
 
-def _check_rflags_rip(vmcs: Vmcs, out: list[EntryCheckViolation]) -> None:
-    rflags = vmcs.read(VmcsField.GUEST_RFLAGS)
-    rip = vmcs.read(VmcsField.GUEST_RIP)
-    efer = vmcs.read(VmcsField.GUEST_IA32_EFER)
+def _check_rflags(
+    rflags: int, efer: int, intr_info: int,
+    out: list[EntryCheckViolation],
+) -> None:
     long_mode = bool(efer & EferBits.LMA)
-
     if not (rflags & Rflags.FIXED1):
         out.append(EntryCheckViolation(
             "rflags.fixed1", "RFLAGS bit 1 must be 1"
@@ -119,7 +128,6 @@ def _check_rflags_rip(vmcs: Vmcs, out: list[EntryCheckViolation]) -> None:
             "rflags.vm-in-long-mode",
             "RFLAGS.VM must be 0 in IA-32e mode",
         ))
-    intr_info = vmcs.read(VmcsField.VM_ENTRY_INTR_INFO)
     injecting_ext_int = bool(intr_info & (1 << 31)) and \
         ((intr_info >> 8) & 0x7) == 0
     if injecting_ext_int and not (rflags & Rflags.IF):
@@ -127,6 +135,12 @@ def _check_rflags_rip(vmcs: Vmcs, out: list[EntryCheckViolation]) -> None:
             "rflags.if-for-injection",
             "RFLAGS.IF must be 1 when injecting an external interrupt",
         ))
+
+
+def _check_rip(
+    rip: int, efer: int, out: list[EntryCheckViolation]
+) -> None:
+    long_mode = efer & _EFER_LMA
     if not long_mode and rip > 0xFFFFFFFF:
         out.append(EntryCheckViolation(
             "rip.width", f"RIP {rip:#x} exceeds 32 bits outside IA-32e mode"
@@ -138,18 +152,18 @@ def _check_rflags_rip(vmcs: Vmcs, out: list[EntryCheckViolation]) -> None:
 
 
 def _non_canonical(address: int) -> bool:
-    """True when bits 63:47 are not a sign extension of bit 46."""
+    """True unless bits 63:47 of ``address`` are all 0 or all 1."""
     top = address >> 47
     return top not in (0, (1 << 17) - 1)
 
 
-def _check_segments(vmcs: Vmcs, out: list[EntryCheckViolation]) -> None:
-    rflags = vmcs.read(VmcsField.GUEST_RFLAGS)
+def _check_segments(
+    rflags: int, ars: Sequence[int], limits: Sequence[int],
+    out: list[EntryCheckViolation],
+) -> None:
+    """``ars``/``limits`` are in :data:`SEGMENT_AR_FIELDS` order."""
     vm86 = bool(rflags & Rflags.VM)
     unrestricted = True  # HVM guests run with "unrestricted guest" set
-
-    ars = [vmcs.read(f) for f in SEGMENT_AR_FIELDS]
-    limits = [vmcs.read(f) for f in SEGMENT_LIMIT_FIELDS]
 
     for name, ar, limit in zip(_SEGMENT_ORDER, ars, limits):
         unusable = bool(ar & (1 << 16))
@@ -218,14 +232,13 @@ def _check_segments(vmcs: Vmcs, out: list[EntryCheckViolation]) -> None:
 
 
 def _check_non_register_state(
-    vmcs: Vmcs, out: list[EntryCheckViolation]
+    activity: int, interruptibility: int, link: int, dr7: int,
+    out: list[EntryCheckViolation],
 ) -> None:
-    activity = vmcs.read(VmcsField.GUEST_ACTIVITY_STATE)
     if activity not in VALID_ACTIVITY_STATES:
         out.append(EntryCheckViolation(
             "activity-state", f"invalid activity state {activity}"
         ))
-    interruptibility = vmcs.read(VmcsField.GUEST_INTERRUPTIBILITY_INFO)
     if interruptibility & ~0x1F:
         out.append(EntryCheckViolation(
             "interruptibility.reserved",
@@ -238,24 +251,82 @@ def _check_non_register_state(
             "interruptibility.sti-and-movss",
             "blocking-by-STI and blocking-by-MOV-SS cannot both be set",
         ))
-    link = vmcs.read(VmcsField.VMCS_LINK_POINTER)
     if link != (1 << 64) - 1:
         out.append(EntryCheckViolation(
             "vmcs-link-pointer",
             f"VMCS link pointer must be ~0 (got {link:#x})",
         ))
-    dr7 = vmcs.read(VmcsField.GUEST_DR7)
     if dr7 >> 32:
         out.append(EntryCheckViolation(
             "dr7.width", f"DR7 {dr7:#x} has bits above 31 set"
         ))
 
 
+#: The inputs of the four check groups except GUEST_RIP, in the order
+#: :func:`_checks_around_rip` unpacks them.  Their values are the memo
+#: key of :func:`check_guest_state`.
+ENTRY_CHECK_FIELDS: tuple[VmcsField, ...] = (
+    VmcsField.GUEST_CR0,
+    VmcsField.GUEST_CR3,
+    VmcsField.GUEST_CR4,
+    VmcsField.GUEST_IA32_EFER,
+    VmcsField.GUEST_RFLAGS,
+    VmcsField.VM_ENTRY_INTR_INFO,
+    *SEGMENT_AR_FIELDS,
+    *SEGMENT_LIMIT_FIELDS,
+    VmcsField.GUEST_ACTIVITY_STATE,
+    VmcsField.GUEST_INTERRUPTIBILITY_INFO,
+    VmcsField.VMCS_LINK_POINTER,
+    VmcsField.GUEST_DR7,
+)
+
+#: Distinct guest states :func:`check_guest_state` remembers; beyond
+#: it the least recently used is evicted.  A Table-I cell meets about a
+#: hundred per campaign.
+ENTRY_MEMO_CAP = 1024
+
+_Verdict = tuple[tuple[EntryCheckViolation, ...],
+                 tuple[EntryCheckViolation, ...]]
+
+
+@lru_cache(maxsize=ENTRY_MEMO_CAP)
+def _checks_around_rip(values: tuple[int, ...]) -> _Verdict:
+    """The violations that precede and follow the RIP checks.
+
+    A pure function of ``values`` returning immutable tuples, so the
+    cache is safe to share between every VMX and SVM caller.
+    """
+    cr0, cr3, cr4, efer, rflags, intr_info = values[:6]
+    activity, interruptibility, link, dr7 = values[22:]
+    head: list[EntryCheckViolation] = []
+    _check_control_registers(cr0, cr3, cr4, efer, head)
+    _check_rflags(rflags, efer, intr_info, head)
+    tail: list[EntryCheckViolation] = []
+    _check_segments(rflags, values[6:14], values[14:22], tail)
+    _check_non_register_state(activity, interruptibility, link, dr7, tail)
+    return tuple(head), tuple(tail)
+
+
+def check_guest_state(
+    read: Callable[[VmcsField], int]
+) -> list[EntryCheckViolation]:
+    """The four §26.3 check groups, in order, for one guest state.
+
+    ``read`` maps a field to its value in the state.  Every group is a
+    pure function of :data:`ENTRY_CHECK_FIELDS` and GUEST_RIP, so the
+    verdict on the former is memoised; RIP changes on almost every
+    exit, so it stays out of the key and its two checks run each time,
+    between the RFLAGS and the segment checks as in the groups' order.
+    """
+    values = tuple(map(read, ENTRY_CHECK_FIELDS))
+    head, tail = _checks_around_rip(values)
+    out = list(head)
+    efer = values[3]
+    _check_rip(read(VmcsField.GUEST_RIP), efer, out)
+    out.extend(tail)
+    return out
+
+
 def check_vm_entry(vmcs: Vmcs) -> list[EntryCheckViolation]:
     """Run the modelled §26.3 guest-state checks; return all violations."""
-    violations: list[EntryCheckViolation] = []
-    _check_control_registers(vmcs, violations)
-    _check_rflags_rip(vmcs, violations)
-    _check_segments(vmcs, violations)
-    _check_non_register_state(vmcs, violations)
-    return violations
+    return check_guest_state(vmcs.read)

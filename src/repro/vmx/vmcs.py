@@ -16,11 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.vmx.vmcs_fields import (
-    VmcsField,
-    field_width,
-    is_read_only,
-)
+from repro.arch.fields import FIELD_INFO, field_info, unknown_field
+from repro.vmx.vmcs_fields import VmcsField
 
 #: VMCS revision identifier, first 4 bytes of the region (directly
 #: accessible without VMREAD, per SDM §24.2).
@@ -43,6 +40,11 @@ class Vmcs:
 
     ``address`` stands in for the physical address of the 4 KiB VMCS
     region; it is the identity VMPTRLD/VMCLEAR operate on.
+
+    Every accessor takes a :class:`VmcsField` or its bare encoding and
+    resolves it through :data:`~repro.arch.fields.FIELD_INFO`, so an
+    unknown encoding raises ``ValueError``; stored keys (``_fields``,
+    ``dirty``, :meth:`contents`) are always the enum members.
     """
 
     address: int
@@ -62,8 +64,10 @@ class Vmcs:
         valid?) lives in :class:`repro.vmx.vmx_ops.VmxCpu`; this is the
         storage layer.
         """
-        fld = VmcsField(fld)
-        return self._fields.get(fld, 0) & field_width(fld).mask
+        try:
+            return self._fields.get(fld, 0) & FIELD_INFO[fld].mask
+        except KeyError:
+            raise unknown_field(fld) from None
 
     def write(self, fld: VmcsField, value: int) -> None:
         """Raw field write (the VMWRITE data path).
@@ -72,20 +76,20 @@ class Vmcs:
         :meth:`write_exit_info`, which models the *hardware* populating
         them during a VM exit.
         """
-        fld = VmcsField(fld)
-        if is_read_only(fld):
+        member, mask, read_only = field_info(fld)
+        if read_only:
             raise PermissionError(
-                f"VMWRITE to read-only field {fld.name}; use "
+                f"VMWRITE to read-only field {member.name}; use "
                 "write_exit_info() for hardware-side population"
             )
-        self._fields[fld] = value & field_width(fld).mask
-        self.dirty.add(fld)
+        self._fields[member] = value & mask
+        self.dirty.add(member)
 
     def write_exit_info(self, fld: VmcsField, value: int) -> None:
         """Hardware-side write used while delivering a VM exit."""
-        fld = VmcsField(fld)
-        self._fields[fld] = value & field_width(fld).mask
-        self.dirty.add(fld)
+        member, mask, _ = field_info(fld)
+        self._fields[member] = value & mask
+        self.dirty.add(member)
 
     def restore_field(self, fld: VmcsField, value: int) -> None:
         """Snapshot-side write: no read-only gate, no dirty marking.
@@ -93,12 +97,12 @@ class Vmcs:
         Per-field analogue of :meth:`load_contents` for the delta
         restore path.
         """
-        fld = VmcsField(fld)
-        self._fields[fld] = value & field_width(fld).mask
+        member, mask, _ = field_info(fld)
+        self._fields[member] = value & mask
 
     def erase_field(self, fld: VmcsField) -> None:
         """Forget a field, as a full :meth:`load_contents` would."""
-        self._fields.pop(VmcsField(fld), None)
+        self._fields.pop(field_info(fld).member, None)
 
     def mark_clean(self) -> None:
         """Reset the write set (snapshot taken/restored here)."""
@@ -122,10 +126,13 @@ class Vmcs:
         # snapshot layer calls mark_clean() right after when this load
         # re-establishes a known-clean point.
         self.dirty.update(self._fields)
-        self._fields = {
-            VmcsField(f): v & field_width(VmcsField(f)).mask
-            for f, v in values.items()
-        }
+        try:
+            self._fields = {
+                (info := FIELD_INFO[f]).member: v & info.mask
+                for f, v in values.items()
+            }
+        except KeyError as exc:
+            raise unknown_field(exc.args[0]) from None
         self.dirty.update(self._fields)
 
     def populated_fields(self) -> frozenset[VmcsField]:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import VmxFailInvalid, VmxFailValid
 from repro.vmx.vmcs import Vmcs, VmcsLaunchState, VMCS_REVISION_ID
-from repro.vmx.vmcs_fields import VmcsField, is_read_only
+from repro.arch.fields import FIELD_INFO
+from repro.vmx.vmcs_fields import VmcsField
 
 
 class VmxInstructionError(enum.IntEnum):
@@ -147,12 +148,9 @@ class VmxCpu:
         self._require_root("VMREAD")
         if self.current_vmcs is None:
             raise VmxFailInvalid("VMREAD with no current VMCS")
-        try:
-            fld = VmcsField(fld)
-        except ValueError:
+        if fld not in FIELD_INFO:
             self._fail(VmxInstructionError.UNSUPPORTED_VMCS_COMPONENT,
                        f"VMREAD from unsupported component {fld:#x}")
-            raise AssertionError("unreachable")
         return self.current_vmcs.read(fld)
 
     def vmwrite(self, fld: VmcsField, value: int) -> None:
@@ -164,16 +162,16 @@ class VmxCpu:
         self._require_root("VMWRITE")
         if self.current_vmcs is None:
             raise VmxFailInvalid("VMWRITE with no current VMCS")
-        try:
-            fld = VmcsField(fld)
-        except ValueError:
+        info = FIELD_INFO.get(fld)
+        if info is None:
             self._fail(VmxInstructionError.UNSUPPORTED_VMCS_COMPONENT,
                        f"VMWRITE to unsupported component {fld:#x}")
             raise AssertionError("unreachable")
-        if is_read_only(fld):
+        if info.read_only:
             self._fail(VmxInstructionError.VMWRITE_READ_ONLY_COMPONENT,
-                       f"VMWRITE to read-only component {fld.name}")
-        self.current_vmcs.write(fld, value)
+                       f"VMWRITE to read-only component "
+                       f"{info.member.name}")
+        self.current_vmcs.write(info.member, value)
 
     def vmlaunch(self) -> None:
         """Launch the current VMCS (requires launch state Clear)."""

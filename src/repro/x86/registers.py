@@ -164,6 +164,19 @@ class SegmentCache:
         )
 
 
+#: Every GPR keyed by its seed encoding (``IntEnum`` members hash like
+#: their values, so a member finds itself).
+GPR_BY_ENCODING: dict[int, GPR] = {int(reg): reg for reg in GPR}
+
+
+def gpr_by_encoding(encoding: int) -> GPR:
+    """``GPR(encoding)`` without the enum call; ``ValueError`` if none."""
+    try:
+        return GPR_BY_ENCODING[encoding]
+    except (KeyError, TypeError):
+        raise ValueError(f"{encoding!r} is not a valid GPR") from None
+
+
 def _zero_gprs() -> dict[GPR, int]:
     return {reg: 0 for reg in GPR}
 
@@ -209,7 +222,7 @@ class RegisterFile:
         return self.gprs[reg]
 
     def write_gpr(self, reg: GPR, value: int) -> None:
-        reg = GPR(reg)
+        reg = gpr_by_encoding(reg)
         self.gprs[reg] = value & MASK64
         self.dirty_gprs.add(reg)
 
@@ -224,7 +237,7 @@ class RegisterFile:
     def load_gprs(self, values: dict[GPR, int]) -> None:
         """Overwrite the GPR set, e.g. when IRIS submits a seed."""
         for reg, value in values.items():
-            self.write_gpr(GPR(reg), value)
+            self.write_gpr(reg, value)
 
     def copy(self) -> "RegisterFile":
         return RegisterFile(

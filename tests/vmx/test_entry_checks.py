@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.svm.consistency_checks import check_vmrun
 from repro.vmx.entry_checks import check_vm_entry
 from repro.vmx.vmcs import Vmcs
 from repro.vmx.vmcs_fields import VmcsField
+
+#: CR0.PG | CR0.ET | CR0.PE, EFER.LME | EFER.LMA and CR4.PAE: IA-32e mode.
+LONG_MODE_CR0 = 0x80000011
+LONG_MODE_EFER = (1 << 8) | (1 << 10)
+CR4_PAE = 1 << 5
 
 
 @pytest.fixture
@@ -161,3 +167,99 @@ class TestNonRegisterState:
         valid_vmcs.write(VmcsField.VMCS_LINK_POINTER, 0)
         valid_vmcs.write(VmcsField.GUEST_ACTIVITY_STATE, 9)
         assert len(check_vm_entry(valid_vmcs)) >= 3
+
+
+# ---- every check identifier, on both entry points ----------------------
+
+def _vmx_checks(vmcs):
+    return [v.check for v in check_vm_entry(vmcs)]
+
+
+def _svm_checks(vmcs):
+    """The same state through the VMRUN checks (a valid ASID, SVME on)."""
+    return [v.check for v in check_vmrun(vmcs.read, asid=1)]
+
+
+@pytest.fixture(params=[_vmx_checks, _svm_checks], ids=["vmx", "svm"])
+def checks(request):
+    return request.param
+
+
+@pytest.fixture
+def long_mode_vmcs(valid_vmcs):
+    """The valid state switched to IA-32e mode; it passes every check."""
+    valid_vmcs.write(VmcsField.GUEST_CR0, LONG_MODE_CR0)
+    valid_vmcs.write(VmcsField.GUEST_CR4, CR4_PAE)
+    valid_vmcs.write(VmcsField.GUEST_IA32_EFER, LONG_MODE_EFER)
+    assert check_vm_entry(valid_vmcs) == []
+    return valid_vmcs
+
+
+class TestCheckIdentifiers:
+    """One state per identifier that breaks exactly that check."""
+
+    def test_rflags_vm_in_long_mode(self, long_mode_vmcs, checks):
+        long_mode_vmcs.write(VmcsField.GUEST_RFLAGS, 0x2 | (1 << 17))
+        assert "rflags.vm-in-long-mode" in checks(long_mode_vmcs)
+
+    def test_rip_canonical(self, long_mode_vmcs, checks):
+        long_mode_vmcs.write(VmcsField.GUEST_RIP, 1 << 47)
+        assert checks(long_mode_vmcs) == ["rip.canonical"]
+
+    def test_cs_type(self, valid_vmcs, checks):
+        valid_vmcs.write(VmcsField.GUEST_CS_AR_BYTES, 0x91)  # data, RO
+        assert checks(valid_vmcs) == ["cs.type"]
+
+    def test_cs_s(self, valid_vmcs, checks):
+        valid_vmcs.write(VmcsField.GUEST_CS_AR_BYTES, 0x8B)  # S = 0
+        assert checks(valid_vmcs) == ["cs.s"]
+
+    def test_cs_present(self, valid_vmcs, checks):
+        valid_vmcs.write(VmcsField.GUEST_CS_AR_BYTES, 0x1B)  # P = 0
+        assert checks(valid_vmcs) == ["cs.present"]
+
+    def test_tr_s(self, valid_vmcs, checks):
+        valid_vmcs.write(VmcsField.GUEST_TR_AR_BYTES, 0x9B)  # S = 1
+        assert checks(valid_vmcs) == ["tr.s"]
+
+    def test_tr_present(self, valid_vmcs, checks):
+        valid_vmcs.write(VmcsField.GUEST_TR_AR_BYTES, 0x0B)  # P = 0
+        assert checks(valid_vmcs) == ["tr.present"]
+
+    def test_ldtr_s(self, valid_vmcs, checks):
+        valid_vmcs.write(VmcsField.GUEST_LDTR_AR_BYTES, 0x92)  # S = 1
+        assert checks(valid_vmcs) == ["ldtr.s"]
+
+
+class TestMemoisedChecks:
+    """The verdict is memoised on everything but RIP, so two states that
+    differ only in RIP must still get their own RIP checks."""
+
+    def test_rip_canonical_back_to_back(self, long_mode_vmcs, checks):
+        # A canonical upper-half RIP against bits 63:47 = 0...01.
+        long_mode_vmcs.write(VmcsField.GUEST_RIP, 0xFFFF_8000_0000_0000)
+        other = long_mode_vmcs.copy()
+        other.write(VmcsField.GUEST_RIP, 1 << 47)
+        for _ in range(2):
+            assert checks(long_mode_vmcs) == []
+            assert checks(other) == ["rip.canonical"]
+
+    def test_rip_width_back_to_back(self, valid_vmcs, checks):
+        other = valid_vmcs.copy()
+        other.write(VmcsField.GUEST_RIP, 1 << 33)
+        for _ in range(2):
+            assert checks(valid_vmcs) == []
+            assert checks(other) == ["rip.width"]
+
+    def test_violations_keep_group_order(self, valid_vmcs, checks):
+        # One violation from each group, RIP's between RFLAGS' and the
+        # segments': the crash reason quotes the first four in order.
+        valid_vmcs.write(VmcsField.GUEST_CR0, 0x10 | (1 << 20))
+        valid_vmcs.write(VmcsField.GUEST_RFLAGS, 0)
+        valid_vmcs.write(VmcsField.GUEST_RIP, 1 << 33)
+        valid_vmcs.write(VmcsField.GUEST_TR_AR_BYTES, 0x0B)
+        valid_vmcs.write(VmcsField.GUEST_DR7, 1 << 40)
+        expected = ["cr0.reserved", "rflags.fixed1", "rip.width",
+                    "tr.present", "dr7.width"]
+        for _ in range(2):
+            assert checks(valid_vmcs) == expected
