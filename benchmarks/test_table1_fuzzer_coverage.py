@@ -232,8 +232,11 @@ def test_table1_parallel_speedup(cpu_experiment, benchmark):
     """--jobs 2 beats serial by >= 1.5x wall-clock on >= 2 cores.
 
     Per-cell work (prefix replay + N mutations) dominates the pool's
-    pickling/fork overhead at bench scale, so two workers should land
-    near 2x; 1.5x leaves room for scheduler noise.
+    fork overhead at bench scale, so two workers should land near 2x;
+    1.5x leaves room for scheduler noise.  The two arms run
+    interleaved, and each arm's wall is its best of several rounds:
+    the campaigns are deterministic, so per-arm minima measure the
+    code rather than a neighbour's burst on a shared host.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     cases = _campaign_cases(cpu_experiment, TABLE_REASONS,
@@ -248,11 +251,20 @@ def test_table1_parallel_speedup(cpu_experiment, benchmark):
         )).run()
         return time.perf_counter() - start, outcome
 
-    serial_s, serial = timed(1)
-    parallel_s, parallel = timed(2)
+    rounds = 3
+    serial_s = parallel_s = float("inf")
+    outcomes = []
+    for _ in range(rounds):
+        wall, serial = timed(1)
+        serial_s = min(serial_s, wall)
+        wall, parallel = timed(2)
+        parallel_s = min(parallel_s, wall)
+        outcomes += [serial, parallel]
     speedup = serial_s / parallel_s
-    print(f"\nTable I campaign: serial {serial_s:.2f}s, "
-          f"--jobs 2 {parallel_s:.2f}s -> {speedup:.2f}x speedup "
+    print(f"\nTable I campaign (best of {rounds}): serial "
+          f"{serial_s:.2f}s, --jobs 2 {parallel_s:.2f}s -> "
+          f"{speedup:.2f}x speedup "
           f"({serial.stats.total_mutations} mutations)")
     assert serial.results == parallel.results
+    assert all(o.results == serial.results for o in outcomes)
     assert speedup >= 1.5

@@ -35,7 +35,7 @@ from repro.campaign.transport import (
     WorkerTransport,
     parse_worker_address,
 )
-from repro.campaign.worker import ChaosSpec, WorkerServer
+from repro.campaign.worker import WorkerServer
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -43,7 +43,6 @@ __all__ = [
     "CampaignController",
     "CampaignInterrupted",
     "CampaignStore",
-    "ChaosSpec",
     "LocalPoolTransport",
     "SocketTransport",
     "StoredWave",

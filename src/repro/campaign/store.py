@@ -27,6 +27,7 @@ guesses (see :meth:`validate`).
 
 from __future__ import annotations
 
+import inspect
 import json
 import sqlite3
 from dataclasses import dataclass, field, fields
@@ -37,6 +38,7 @@ from repro.errors import (
     StoreMismatchError,
     StoreSchemaError,
 )
+from repro.core.jsoncodec import JsonCodec
 from repro.core.seed import VMSeed, pack_entries, unpack_entries
 from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.fuzz.differential import (
@@ -466,15 +468,13 @@ class CampaignStore:
         for result in wave.results.values():
             for record in result.failures:
                 signature = crash_signature(record)
-                rows = list(self._conn.execute(
-                    "SELECT count, seed_reasons FROM crash_buckets "
-                    "WHERE signature=?", (signature,),
-                ))
                 reasons = {reason_name(record.seed.exit_reason)}
                 count = 1
-                if rows:
-                    count += rows[0][0]
-                    reasons.update(json.loads(rows[0][1]))
+                for _, (stored, stored_reasons) in self._decoded(
+                    "crash_buckets", only=signature
+                ):
+                    count += stored
+                    reasons.update(stored_reasons)
                 self._conn.execute(
                     "INSERT OR REPLACE INTO crash_buckets "
                     "(signature, kind, cause, count, seed_reasons) "
@@ -493,21 +493,7 @@ class CampaignStore:
 
     def completed_waves(self) -> list[StoredWave]:
         """Every committed wave, in wave order."""
-        return [
-            StoredWave(
-                wave_index=row[0],
-                cell_indices=tuple(json.loads(row[1])),
-                abandoned=tuple(json.loads(row[2])),
-                metrics=(
-                    None if row[3] is None
-                    else MetricsSnapshot.from_json(row[3])
-                ),
-            )
-            for row in self._query(
-                "SELECT wave_index, cell_indices, abandoned, metrics "
-                "FROM waves ORDER BY wave_index"
-            )
-        ]
+        return [wave for _, wave in self._decoded("waves")]
 
     def load_results(self) -> dict[int, FuzzResult]:
         """Reconstruct every stored cell result, keyed by cell index.
@@ -517,92 +503,50 @@ class CampaignStore:
         reconstituted, failure seeds rebuilt from the batched codec
         plus the unmasked exit-reason column.
         """
-        corpus_rows: dict[int, list[CorpusEntry]] = {}
-        for row in self._query(
-            "SELECT cell_index, reason_kept, new_loc, fingerprint, "
-            "exit_reason, entry_count, entries FROM corpus_entries "
-            "ORDER BY cell_index, position"
-        ):
-            corpus_rows.setdefault(row[0], []).append(CorpusEntry(
-                seed=self._decode_seed(row[4], row[6], row[5]),
-                reason_kept=row[1],
-                new_loc=row[2],
-                coverage_fingerprint=row[3],
-            ))
-        failure_rows: dict[int, list[FailureRecord]] = {}
-        for row in self._query(
-            "SELECT cell_index, kind, cause, crash_reason, "
-            "mutation_index, exit_reason, entry_count, entries, "
-            "log_tail FROM failures ORDER BY cell_index, position"
-        ):
-            failure_rows.setdefault(row[0], []).append(FailureRecord(
-                kind=FailureKind(row[1]),
-                cause=row[2],
-                crash_reason=row[3],
-                mutation_index=row[4],
-                seed=self._decode_seed(row[5], row[7], row[6]),
-                log_tail=tuple(json.loads(row[8])),
-            ))
-        divergence_rows: dict[int, list[DivergenceRecord]] = {}
-        for row in self._query(
-            "SELECT cell_index, kind, mutation_index, vmx_outcome, "
-            "svm_outcome, detail, exit_reason, entry_count, entries "
-            "FROM divergences ORDER BY cell_index, position"
-        ):
-            divergence_rows.setdefault(row[0], []).append(
-                DivergenceRecord(
-                    kind=DivergenceKind(row[1]),
-                    mutation_index=row[2],
-                    vmx_outcome=row[3],
-                    svm_outcome=row[4],
-                    detail=row[5],
-                    seed=self._decode_seed(row[6], row[8], row[7]),
-                )
-            )
+        corpus = self._by_cell("corpus_entries")
+        failures = self._by_cell("failures")
+        divergences = self._by_cell("divergences")
         results: dict[int, FuzzResult] = {}
-        for row in self._query(
-            "SELECT cell_index, workload, exit_reason, area, "
-            "mutations_run, baseline_loc, new_loc, vm_crashes, "
-            "hypervisor_crashes, new_lines, seeds_compared, "
-            "untranslatable_seeds FROM cells "
-            "ORDER BY cell_index"
-        ):
-            cell_index = row[0]
-            results[cell_index] = FuzzResult(
-                workload=row[1],
-                exit_reason=ExitReason(row[2]),
-                area=MutationArea(row[3]),
-                mutations_run=row[4],
-                baseline_loc=row[5],
-                new_loc=row[6],
-                vm_crashes=row[7],
-                hypervisor_crashes=row[8],
-                failures=failure_rows.get(cell_index, []),
-                corpus=Corpus.from_entries(
-                    corpus_rows.get(cell_index, [])
-                ),
-                new_lines=self._decode_coverage(row[9]).lines(),
-                divergences=tuple(
-                    divergence_rows.get(cell_index, [])
-                ),
-                seeds_compared=row[10],
-                untranslatable_seeds=row[11],
+        for cell_index, result in self._decoded("cells"):
+            result.corpus = Corpus.from_entries(
+                corpus.get(cell_index, [])
             )
+            result.failures = failures.get(cell_index, [])
+            result.divergences = tuple(divergences.get(cell_index, []))
+            results[cell_index] = result
         return results
 
-    def _decode_seed(
-        self, exit_reason: int, blob: bytes, count: int
-    ) -> VMSeed:
-        try:
-            return VMSeed(
-                exit_reason=exit_reason,
-                entries=unpack_entries(blob, count),
-            )
-        except Exception as exc:
-            raise CorruptStoreError(
-                f"campaign store {self.path!r} holds an undecodable "
-                f"seed: {exc}"
-            ) from exc
+    def _decoded(
+        self, table: str, *, only: Any = None
+    ) -> Iterator[tuple[Any, Any]]:
+        """Every row of ``table`` (or ``only`` the one with that key)
+        through its one row decoder, in row order, as ``(key, decoded
+        row)``.
+
+        Whatever a damaged row holds, only :class:`CorruptStoreError`
+        escapes, naming the table and the row's key.
+        """
+        key, order, decode = _ROW_DECODERS[table]
+        columns = ", ".join(inspect.signature(decode).parameters)
+        where = "" if only is None else f" WHERE {key}=?"
+        for row in self._query(
+            f"SELECT {key}, {columns} FROM {table}{where} "
+            f"ORDER BY {order}",
+            () if only is None else (only,),
+        ):
+            try:
+                yield row[0], decode(*row[1:])
+            except Exception as exc:
+                raise CorruptStoreError(
+                    f"campaign store {self.path!r} {table} row "
+                    f"({key} {row[0]}) is undecodable: {exc}"
+                ) from exc
+
+    def _by_cell(self, table: str) -> dict[int, list[Any]]:
+        by_cell: dict[int, list[Any]] = {}
+        for cell_index, record in self._decoded(table):
+            by_cell.setdefault(cell_index, []).append(record)
+        return by_cell
 
     def _decode_coverage(self, text: str) -> CoverageMap:
         try:
@@ -630,28 +574,7 @@ class CampaignStore:
 
     def failure_records(self) -> list[FailureRecord]:
         """Every stored failure, in (cell, position) order."""
-        records: list[FailureRecord] = []
-        for failures in self._iter_failures():
-            records.extend(failures)
-        return records
-
-    def _iter_failures(self) -> Iterator[list[FailureRecord]]:
-        by_cell: dict[int, list[FailureRecord]] = {}
-        for row in self._query(
-            "SELECT cell_index, kind, cause, crash_reason, "
-            "mutation_index, exit_reason, entry_count, entries, "
-            "log_tail FROM failures ORDER BY cell_index, position"
-        ):
-            by_cell.setdefault(row[0], []).append(FailureRecord(
-                kind=FailureKind(row[1]),
-                cause=row[2],
-                crash_reason=row[3],
-                mutation_index=row[4],
-                seed=self._decode_seed(row[5], row[7], row[6]),
-                log_tail=tuple(json.loads(row[8])),
-            ))
-        for cell_index in sorted(by_cell):
-            yield by_cell[cell_index]
+        return [record for _, record in self._decoded("failures")]
 
     def corpus(self) -> Corpus:
         """Canonical union of every stored cell's corpus."""
@@ -661,22 +584,7 @@ class CampaignStore:
 
     def divergence_records(self) -> list[DivergenceRecord]:
         """Every stored divergence, in (cell, position) order."""
-        return [
-            DivergenceRecord(
-                kind=DivergenceKind(row[1]),
-                mutation_index=row[2],
-                vmx_outcome=row[3],
-                svm_outcome=row[4],
-                detail=row[5],
-                seed=self._decode_seed(row[6], row[8], row[7]),
-            )
-            for row in self._query(
-                "SELECT cell_index, kind, mutation_index, "
-                "vmx_outcome, svm_outcome, detail, exit_reason, "
-                "entry_count, entries FROM divergences "
-                "ORDER BY cell_index, position"
-            )
-        ]
+        return [record for _, record in self._decoded("divergences")]
 
     # -- integrity -----------------------------------------------------
 
@@ -721,17 +629,15 @@ class CampaignStore:
             expected_cells.update(
                 set(wave.cell_indices) - set(wave.abandoned)
             )
-        stored_cells = {
-            row[0] for row in self._query(
-                "SELECT cell_index FROM cells"
-            )
-        }
-        if stored_cells != expected_cells:
+        # Decoding every row is itself a check: each table's one row
+        # decoder raises CorruptStoreError on a damaged column.
+        results = self.load_results()
+        if set(results) != expected_cells:
             raise CorruptStoreError(
                 f"campaign store {self.path!r} cell results disagree "
                 f"with its wave log: waves expect "
                 f"{sorted(expected_cells)}, cells hold "
-                f"{sorted(stored_cells)}"
+                f"{sorted(results)}"
             )
         frontier_waves = [
             row[0] for row in self._query(
@@ -746,43 +652,143 @@ class CampaignStore:
             )
         if waves:
             union = CoverageMap.union_all(
-                self._decode_coverage(row[0])
-                for row in self._query(
-                    "SELECT new_lines FROM cells"
-                )
+                CoverageMap(result.new_lines)
+                for result in results.values()
             )
             if self.coverage_frontier().lines() != union.lines():
                 raise CorruptStoreError(
                     f"campaign store {self.path!r} coverage frontier "
                     "does not match the union of its cell coverage"
                 )
-        for row in self._query(
-            "SELECT cell_index, position, kind, mutation_index, "
-            "vmx_outcome, svm_outcome, detail, exit_reason, "
-            "entry_count, entries, signature FROM divergences "
+        list(self._decoded("crash_buckets"))
+        signatures = self._query(
+            "SELECT cell_index, position, signature FROM divergences "
             "ORDER BY cell_index, position"
+        )
+        for (cell_index, position, signature), record in zip(
+            signatures, self.divergence_records()
         ):
-            try:
-                record = DivergenceRecord(
-                    kind=DivergenceKind(row[2]),
-                    mutation_index=row[3],
-                    vmx_outcome=row[4],
-                    svm_outcome=row[5],
-                    detail=row[6],
-                    seed=self._decode_seed(row[7], row[9], row[8]),
-                )
-            except CorruptStoreError:
-                raise
-            except Exception as exc:
+            if divergence_signature(record) != signature:
                 raise CorruptStoreError(
                     f"campaign store {self.path!r} divergence row "
-                    f"(cell {row[0]}, position {row[1]}) is "
-                    f"undecodable: {exc}"
-                ) from exc
-            if divergence_signature(record) != row[10]:
-                raise CorruptStoreError(
-                    f"campaign store {self.path!r} divergence row "
-                    f"(cell {row[0]}, position {row[1]}) does not "
-                    "match its stored signature: the row was altered "
-                    "after checkpoint"
+                    f"(cell {cell_index}, position {position}) does "
+                    "not match its stored signature: the row was "
+                    "altered after checkpoint"
                 )
+
+
+# ---- row decoders -----------------------------------------------------
+#
+# One decoder per table, each a plain function of its row's columns.
+# They may raise anything on a damaged row; CampaignStore._decoded is
+# the one place that maps that to CorruptStoreError.
+
+_CODEC = JsonCodec()
+
+
+def _json(schema: Any, text: str) -> Any:
+    return _CODEC.decode(schema, json.loads(text))
+
+
+def _seed(exit_reason: int, count: int, blob: bytes) -> VMSeed:
+    return VMSeed(
+        exit_reason=exit_reason, entries=unpack_entries(blob, count),
+    )
+
+
+def _wave_row(
+    wave_index: int, cell_indices: str, abandoned: str,
+    metrics: str | None,
+) -> StoredWave:
+    return StoredWave(
+        wave_index=wave_index,
+        cell_indices=_json(tuple[int, ...], cell_indices),
+        abandoned=_json(tuple[int, ...], abandoned),
+        metrics=(
+            None if metrics is None
+            else MetricsSnapshot.from_json(metrics)
+        ),
+    )
+
+
+def _cell_row(
+    workload: str, exit_reason: int, area: str, mutations_run: int,
+    baseline_loc: int, new_loc: int, vm_crashes: int,
+    hypervisor_crashes: int, new_lines: str, seeds_compared: int,
+    untranslatable_seeds: int,
+) -> FuzzResult:
+    """A cell's scalar columns; :meth:`CampaignStore.load_results`
+    attaches its corpus, failure and divergence rows."""
+    return FuzzResult(
+        workload=workload,
+        exit_reason=ExitReason(exit_reason),
+        area=MutationArea(area),
+        mutations_run=mutations_run,
+        baseline_loc=baseline_loc,
+        new_loc=new_loc,
+        vm_crashes=vm_crashes,
+        hypervisor_crashes=hypervisor_crashes,
+        new_lines=CoverageMap.from_json(new_lines).lines(),
+        seeds_compared=seeds_compared,
+        untranslatable_seeds=untranslatable_seeds,
+    )
+
+
+def _corpus_row(
+    reason_kept: str, new_loc: int, fingerprint: str,
+    exit_reason: int, entry_count: int, entries: bytes,
+) -> CorpusEntry:
+    return CorpusEntry(
+        seed=_seed(exit_reason, entry_count, entries),
+        reason_kept=reason_kept,
+        new_loc=new_loc,
+        coverage_fingerprint=fingerprint,
+    )
+
+
+def _failure_row(
+    kind: str, cause: str, crash_reason: str, mutation_index: int,
+    exit_reason: int, entry_count: int, entries: bytes, log_tail: str,
+) -> FailureRecord:
+    return FailureRecord(
+        kind=FailureKind(kind),
+        cause=cause,
+        crash_reason=crash_reason,
+        mutation_index=mutation_index,
+        seed=_seed(exit_reason, entry_count, entries),
+        log_tail=_json(tuple[str, ...], log_tail),
+    )
+
+
+def _divergence_row(
+    kind: str, mutation_index: int, vmx_outcome: str,
+    svm_outcome: str, detail: str, exit_reason: int,
+    entry_count: int, entries: bytes,
+) -> DivergenceRecord:
+    return DivergenceRecord(
+        kind=DivergenceKind(kind),
+        mutation_index=mutation_index,
+        vmx_outcome=vmx_outcome,
+        svm_outcome=svm_outcome,
+        detail=detail,
+        seed=_seed(exit_reason, entry_count, entries),
+    )
+
+
+def _crash_bucket_row(
+    kind: str, cause: str, count: int, seed_reasons: str
+) -> tuple[int, list[str]]:
+    FailureKind(kind)
+    return _CODEC.decode(int, count), _json(list[str], seed_reasons)
+
+
+#: Per table: the key column, the row order, and the decoder, whose
+#: parameters name the columns it reads.
+_ROW_DECODERS: dict[str, tuple[str, str, Callable[..., Any]]] = {
+    "waves": ("wave_index", "wave_index", _wave_row),
+    "cells": ("cell_index", "cell_index", _cell_row),
+    "corpus_entries": ("cell_index", "cell_index, position", _corpus_row),
+    "failures": ("cell_index", "cell_index, position", _failure_row),
+    "divergences": ("cell_index", "cell_index, position", _divergence_row),
+    "crash_buckets": ("signature", "signature", _crash_bucket_row),
+}

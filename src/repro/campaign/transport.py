@@ -131,7 +131,8 @@ class WorkerTransport(Protocol):
 
 
 #: Per-worker campaign context, installed once by the pool initializer
-#: so the (large) trace is pickled once per worker, not once per task.
+#: so the (large) trace ships once per worker, not once per task (under
+#: fork it is inherited, not serialised at all).
 _WORKER_CONTEXT: tuple[Trace, VmSnapshot | None] | None = None
 
 
@@ -360,8 +361,10 @@ class SocketTransport:
     """Ship waves to socket-attached ``iris-worker`` processes.
 
     ``workers`` are ``host:port`` strings.  Connections are made
-    lazily, primed once with the HELLO context, and stay warm across
-    waves — the socket analogue of the local pool's initializer.
+    lazily, primed with the HELLO context, and stay warm across
+    waves — the socket analogue of the local pool's initializer.  The
+    HELLO payload is encoded once, in :meth:`prime`; every (re)connect
+    sends those same bytes.
 
     See the module docstring for the failure semantics; ``sleep`` is
     injectable so the reconnect/backoff tests run in virtual time.
@@ -395,13 +398,15 @@ class SocketTransport:
             _WorkerLink(address=parse_worker_address(spec))
             for spec in workers
         ]
-        self._context: TransportContext | None = None
+        self._hello: bytes | None = None
         self._lock = threading.Lock()
         self._closed = False
 
     def prime(self, context: TransportContext) -> None:
-        if self._context is None:
-            self._context = context
+        if self._hello is None:
+            self._hello = wire.encode_hello(
+                dict(context.identity), context.trace, context.snapshot,
+            )
 
     def describe(self) -> str:
         names = ", ".join(link.name for link in self._links)
@@ -416,7 +421,7 @@ class SocketTransport:
             return []
         if self._closed:
             raise TransportError("transport is closed")
-        assert self._context is not None, "transport not primed"
+        assert self._hello is not None, "transport not primed"
         deadline = (
             time.monotonic() + self.wave_timeout
             if self.wave_timeout is not None else None
@@ -603,18 +608,13 @@ class SocketTransport:
         )
 
     def _connect(self, link: _WorkerLink) -> None:
-        assert self._context is not None
+        assert self._hello is not None
         sock = socket.create_connection(
             link.address, timeout=self.connect_timeout
         )
         try:
-            hello = wire.encode_hello(
-                dict(self._context.identity),
-                self._context.trace,
-                self._context.snapshot,
-            )
             self._bump(frames=1, bytes=wire.send_frame(
-                sock, wire.FrameKind.HELLO, hello
+                sock, wire.FrameKind.HELLO, self._hello
             ))
             sock.settimeout(self.connect_timeout)
             reply = wire.recv_frame(sock)

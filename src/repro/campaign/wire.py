@@ -11,19 +11,23 @@ interpreted.
 Payload encodings mirror the codecs the rest of the tree already pins
 property tests on:
 
-* shard tasks and outcomes travel as canonical JSON envelopes whose
-  seed-bearing rows (corpus entries, failure seeds) go through the
-  batched seed codec (:func:`repro.core.seed.pack_entries`) — the same
-  exact-round-trip layout the campaign store persists;
+* shard tasks and outcomes travel as canonical JSON envelopes, one
+  object per dataclass, decoded against the dataclass's own type
+  hints (:mod:`repro.core.jsoncodec`); their seeds go through the
+  batched seed codec (:func:`repro.core.seed.pack_entries`) — the
+  same exact-round-trip layout the campaign store persists;
 * metrics snapshots go through :meth:`MetricsSnapshot.to_json`;
-* the one-time HELLO context (recorded trace + snapshot) is pickled —
-  the controller and its workers are one trust domain, exactly as the
-  local pool's ``multiprocessing`` channel already assumes.
+* the one-time HELLO context is the campaign identity (JSON), the
+  snapshot (:meth:`VmSnapshot.to_json`) and the recorded trace as an
+  ``IRISTRC2`` file (:mod:`repro.core.tracestore`).
 
-Decoding is strict: truncation, bad magic, an oversized length, or an
-undecodable payload all raise :class:`TransportProtocolError`; the
-transport layer treats the link as dead and reassigns the in-flight
-shard rather than guessing.
+No payload is ever turned into arbitrary objects: a worker port hands
+peer bytes only to these declarative decoders, so a hostile peer can
+at worst fail its own session.  Decoding is strict: truncation, bad
+magic, an oversized length, a mistyped field, or an undecodable
+payload all raise :class:`TransportProtocolError`; the transport
+layer treats the link as dead and reassigns the in-flight shard
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -31,22 +35,20 @@ from __future__ import annotations
 import base64
 import enum
 import json
-import pickle
 import socket
 import struct
+import tempfile
+from pathlib import Path
 from typing import Any, Mapping
 
+from repro.core.jsoncodec import JsonCodec
 from repro.core.seed import Trace, VMSeed, pack_entries, unpack_entries
 from repro.core.snapshot import VmSnapshot
-from repro.errors import TransportProtocolError
+from repro.core.tracestore import TraceLike, TraceReader, write_trace
+from repro.errors import SeedFormatError, TransportProtocolError
 from repro.fuzz.corpus import Corpus, CorpusEntry
-from repro.fuzz.differential import DivergenceKind, DivergenceRecord
-from repro.fuzz.failures import FailureKind, FailureRecord
-from repro.fuzz.fuzzer import FuzzResult
-from repro.fuzz.mutations import MutationArea
 from repro.fuzz.parallel import ShardOutcome, ShardTask
 from repro.obs import MetricsSnapshot
-from repro.vmx.exit_reasons import ExitReason
 
 #: Bump on any incompatible frame or payload change.  Carried in every
 #: frame header; a mismatch is refused before the payload is touched.
@@ -57,7 +59,10 @@ from repro.vmx.exit_reasons import ExitReason
 #: stack) the controller planned.
 #: v4: tasks no longer carry a ``fast_reset`` flag — every shard runs
 #: the one (fast) reset policy.
-WIRE_VERSION = 4
+#: v5: the HELLO context is identity JSON + snapshot JSON + IRISTRC2
+#: trace bytes; tasks no longer carry ``fault_kind``; TASK and RESULT
+#: objects carry exactly their dataclasses' fields, by field name.
+WIRE_VERSION = 5
 
 #: First bytes of every frame; a link that does not start with them is
 #: not an iris worker link.
@@ -70,12 +75,18 @@ _HEADER = struct.Struct("!4sHHI")
 #: a few hundred thousand exits fit comfortably.
 MAX_PAYLOAD_BYTES = 1 << 30
 
+#: Largest single ``recv``: the buffer is allocated before any byte
+#: arrives, so a claimed length must not size it.
+_RECV_CHUNK = 1 << 20
+
+_U32 = struct.Struct("!I")
+
 
 class FrameKind(enum.IntEnum):
     """Every message the protocol speaks."""
 
     #: Controller -> worker, once per connection: campaign identity
-    #: plus the pickled (trace, snapshot) execution context.
+    #: plus the (snapshot, trace) execution context.
     HELLO = 1
     #: Worker -> controller: accepts the session (worker pid inside).
     HELLO_ACK = 2
@@ -120,7 +131,7 @@ def _recv_exactly(
     chunks: list[bytes] = []
     got = 0
     while got < n:
-        chunk = sock.recv(n - got)
+        chunk = sock.recv(min(n - got, _RECV_CHUNK))
         if not chunk:
             raise TransportProtocolError(
                 f"connection closed mid-frame (while reading {what}: "
@@ -184,7 +195,7 @@ def _dumps(payload: Mapping[str, Any]) -> bytes:
 def _loads(payload: bytes, *, what: str) -> dict[str, Any]:
     try:
         decoded = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise TransportProtocolError(
             f"undecodable {what} payload: {exc}"
         ) from exc
@@ -196,13 +207,17 @@ def _loads(payload: bytes, *, what: str) -> dict[str, Any]:
     return decoded
 
 
-def _encode_seed(seed: VMSeed) -> dict[str, Any]:
-    """A seed as (full exit reason, entry count, batched-codec blob).
+# ---- task / outcome codecs -------------------------------------------
+#
+# TASK and RESULT payloads are their dataclasses through the declarative
+# JSON codec (:mod:`repro.core.jsoncodec`), decoded against the
+# dataclasses' own type hints, so a field of the wrong JSON type is
+# refused.  Seeds go through the batched codec with the full exit
+# reason beside the blob (``VMSeed.pack`` masks it to 16 bits — the
+# same faithfulness rule the campaign store follows), metrics through
+# :meth:`MetricsSnapshot.to_json`.
 
-    ``VMSeed.pack`` masks the reason to 16 bits, so the full integer
-    rides beside the blob — the same faithfulness rule the campaign
-    store follows.
-    """
+def _encode_seed(seed: VMSeed) -> dict[str, Any]:
     return {
         "exit_reason": seed.exit_reason,
         "count": len(seed.entries),
@@ -212,251 +227,131 @@ def _encode_seed(seed: VMSeed) -> dict[str, Any]:
     }
 
 
-def _decode_seed(payload: dict[str, Any]) -> VMSeed:
+def _decode_seed(data: Any) -> VMSeed:
+    fields = _CODEC.decode(
+        {"exit_reason": int, "count": int, "entries": bytes}, data
+    )
+    return VMSeed(
+        exit_reason=fields["exit_reason"],
+        entries=unpack_entries(fields["entries"], fields["count"]),
+    )
+
+
+def _decode_metrics(text: Any) -> MetricsSnapshot:
+    return MetricsSnapshot.from_json(_CODEC.decode(str, text))
+
+
+_CODEC = JsonCodec({
+    VMSeed: (_encode_seed, _decode_seed),
+    MetricsSnapshot: (MetricsSnapshot.to_json, _decode_metrics),
+    Corpus: (
+        lambda corpus: _CODEC.encode(list[CorpusEntry], corpus.entries),
+        lambda data: Corpus.from_entries(
+            _CODEC.decode(list[CorpusEntry], data)
+        ),
+    ),
+})
+
+
+def _decode(cls: type, payload: bytes, *, what: str) -> Any:
+    data = _loads(payload, what=what)
     try:
-        return VMSeed(
-            exit_reason=payload["exit_reason"],
-            entries=unpack_entries(
-                base64.b64decode(payload["entries"]),
-                payload["count"],
-            ),
-        )
-    except TransportProtocolError:
-        raise
-    except Exception as exc:
+        return _CODEC.decode(cls, data)
+    except SeedFormatError as exc:
         raise TransportProtocolError(
-            f"undecodable seed in result payload: {exc}"
+            f"malformed {what} payload: {exc}"
         ) from exc
 
-
-# ---- task / outcome codecs -------------------------------------------
 
 def encode_task(task: ShardTask) -> bytes:
     """A :class:`ShardTask` as a canonical JSON envelope."""
-    return _dumps({
-        "cell_index": task.cell_index,
-        "shard_index": task.shard_index,
-        "seed_index": task.seed_index,
-        "area": task.area.value,
-        "n_mutations": task.n_mutations,
-        "mutation_rule": task.mutation_rule,
-        "engine": task.engine,
-        "rng_seed": task.rng_seed,
-        "attempt": task.attempt,
-        "arch": task.arch,
-        "fault_kind": task.fault_kind,
-        "collect_metrics": task.collect_metrics,
-        "differential": task.differential,
-    })
+    return _dumps(_CODEC.encode(ShardTask, task))
 
 
 def decode_task(payload: bytes) -> ShardTask:
-    data = _loads(payload, what="task")
-    try:
-        return ShardTask(
-            cell_index=data["cell_index"],
-            shard_index=data["shard_index"],
-            seed_index=data["seed_index"],
-            area=MutationArea(data["area"]),
-            n_mutations=data["n_mutations"],
-            mutation_rule=data["mutation_rule"],
-            engine=data["engine"],
-            rng_seed=data["rng_seed"],
-            attempt=data["attempt"],
-            arch=data["arch"],
-            fault_kind=data["fault_kind"],
-            collect_metrics=data["collect_metrics"],
-            differential=data["differential"],
-        )
-    except (KeyError, ValueError) as exc:
-        raise TransportProtocolError(
-            f"malformed task payload: {exc!r}"
-        ) from exc
-
-
-def _encode_result(result: FuzzResult) -> dict[str, Any]:
-    return {
-        "workload": result.workload,
-        "exit_reason": int(result.exit_reason.value),
-        "area": result.area.value,
-        "mutations_run": result.mutations_run,
-        "baseline_loc": result.baseline_loc,
-        "new_loc": result.new_loc,
-        "vm_crashes": result.vm_crashes,
-        "hypervisor_crashes": result.hypervisor_crashes,
-        "new_lines": sorted(
-            [file, line] for file, line in result.new_lines
-        ),
-        "corpus": [
-            {
-                "reason_kept": entry.reason_kept,
-                "new_loc": entry.new_loc,
-                "fingerprint": entry.coverage_fingerprint,
-                "seed": _encode_seed(entry.seed),
-            }
-            for entry in result.corpus.entries
-        ],
-        "failures": [
-            {
-                "kind": record.kind.value,
-                "cause": record.cause,
-                "crash_reason": record.crash_reason,
-                "mutation_index": record.mutation_index,
-                "seed": _encode_seed(record.seed),
-                "log_tail": list(record.log_tail),
-            }
-            for record in result.failures
-        ],
-        "seeds_compared": result.seeds_compared,
-        "untranslatable_seeds": result.untranslatable_seeds,
-        "divergences": [
-            {
-                "kind": record.kind.value,
-                "mutation_index": record.mutation_index,
-                "vmx_outcome": record.vmx_outcome,
-                "svm_outcome": record.svm_outcome,
-                "detail": record.detail,
-                "seed": _encode_seed(record.seed),
-            }
-            for record in result.divergences
-        ],
-    }
-
-
-def _decode_result(data: dict[str, Any]) -> FuzzResult:
-    return FuzzResult(
-        workload=data["workload"],
-        exit_reason=ExitReason(data["exit_reason"]),
-        area=MutationArea(data["area"]),
-        mutations_run=data["mutations_run"],
-        baseline_loc=data["baseline_loc"],
-        new_loc=data["new_loc"],
-        vm_crashes=data["vm_crashes"],
-        hypervisor_crashes=data["hypervisor_crashes"],
-        new_lines=frozenset(
-            (file, line) for file, line in data["new_lines"]
-        ),
-        corpus=Corpus.from_entries(
-            CorpusEntry(
-                seed=_decode_seed(entry["seed"]),
-                reason_kept=entry["reason_kept"],
-                new_loc=entry["new_loc"],
-                coverage_fingerprint=entry["fingerprint"],
-            )
-            for entry in data["corpus"]
-        ),
-        failures=[
-            FailureRecord(
-                kind=FailureKind(record["kind"]),
-                cause=record["cause"],
-                crash_reason=record["crash_reason"],
-                mutation_index=record["mutation_index"],
-                seed=_decode_seed(record["seed"]),
-                log_tail=tuple(record["log_tail"]),
-            )
-            for record in data["failures"]
-        ],
-        seeds_compared=data["seeds_compared"],
-        untranslatable_seeds=data["untranslatable_seeds"],
-        divergences=tuple(
-            DivergenceRecord(
-                kind=DivergenceKind(record["kind"]),
-                mutation_index=record["mutation_index"],
-                vmx_outcome=record["vmx_outcome"],
-                svm_outcome=record["svm_outcome"],
-                detail=record["detail"],
-                seed=_decode_seed(record["seed"]),
-            )
-            for record in data["divergences"]
-        ),
-    )
+    return _decode(ShardTask, payload, what="task")
 
 
 def encode_outcome(outcome: ShardOutcome) -> bytes:
     """A :class:`ShardOutcome` (result *or* captured fault) as bytes."""
-    return _dumps({
-        "cell_index": outcome.cell_index,
-        "shard_index": outcome.shard_index,
-        "attempt": outcome.attempt,
-        "result": (
-            None if outcome.result is None
-            else _encode_result(outcome.result)
-        ),
-        "error": outcome.error,
-        "error_traceback": outcome.error_traceback,
-        "duration_seconds": outcome.duration_seconds,
-        "worker_pid": outcome.worker_pid,
-        "metrics": (
-            None if outcome.metrics is None
-            else outcome.metrics.to_json()
-        ),
-    })
+    return _dumps(_CODEC.encode(ShardOutcome, outcome))
 
 
 def decode_outcome(payload: bytes) -> ShardOutcome:
-    data = _loads(payload, what="result")
-    try:
-        return ShardOutcome(
-            cell_index=data["cell_index"],
-            shard_index=data["shard_index"],
-            attempt=data["attempt"],
-            result=(
-                None if data["result"] is None
-                else _decode_result(data["result"])
-            ),
-            error=data["error"],
-            error_traceback=data["error_traceback"],
-            duration_seconds=data["duration_seconds"],
-            worker_pid=data["worker_pid"],
-            metrics=(
-                None if data["metrics"] is None
-                else MetricsSnapshot.from_json(data["metrics"])
-            ),
-        )
-    except TransportProtocolError:
-        raise
-    except Exception as exc:
-        raise TransportProtocolError(
-            f"malformed result payload: {exc!r}"
-        ) from exc
+    return _decode(ShardOutcome, payload, what="result")
 
 
 # ---- session handshake ------------------------------------------------
 
+def _trace_bytes(trace: TraceLike) -> bytes:
+    """The trace as an ``IRISTRC2`` file: a spooled reader's file as
+    it is, anything else streamed through :func:`write_trace`."""
+    if isinstance(trace, TraceReader):
+        return trace.path.read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "hello.iris")
+        write_trace(trace, path)
+        return path.read_bytes()
+
+
+def _decode_trace(blob: bytes) -> Trace:
+    """Materialize HELLO trace bytes through the hardened reader, so a
+    damaged record fails the handshake, not a shard."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "hello.iris")
+        path.write_bytes(blob)
+        with TraceReader(path) as reader:
+            return reader.materialize()
+
+
 def encode_hello(
     identity: Mapping[str, str],
-    trace: Trace,
+    trace: TraceLike,
     snapshot: VmSnapshot | None,
 ) -> bytes:
-    """The once-per-connection context: identity JSON + pickled state.
+    """The once-per-connection context.
 
-    The trace and snapshot are arbitrary object graphs; they travel by
-    pickle, exactly as the local pool already ships them through its
-    ``multiprocessing`` initializer — same objects, same trust domain.
+    Layout: ``!I`` identity length, identity JSON, ``!I`` snapshot
+    length, snapshot JSON (``null`` without one), then the trace as
+    ``IRISTRC2`` bytes up to the end of the payload.
     """
     ident = _dumps({str(k): str(v) for k, v in identity.items()})
-    context = pickle.dumps(
-        (trace, snapshot), protocol=pickle.HIGHEST_PROTOCOL
+    state = (
+        b"null" if snapshot is None
+        else snapshot.to_json().encode("utf-8")
     )
-    return struct.pack("!I", len(ident)) + ident + context
+    return b"".join((
+        _U32.pack(len(ident)), ident,
+        _U32.pack(len(state)), state,
+        _trace_bytes(trace),
+    ))
 
 
 def decode_hello(
     payload: bytes,
 ) -> tuple[dict[str, str], Trace, VmSnapshot | None]:
-    if len(payload) < 4:
-        raise TransportProtocolError("truncated HELLO payload")
-    (ident_len,) = struct.unpack_from("!I", payload)
-    if len(payload) < 4 + ident_len:
-        raise TransportProtocolError("truncated HELLO identity")
-    identity = _loads(
-        payload[4:4 + ident_len], what="HELLO identity"
-    )
+    view = memoryview(payload)
+
+    def section(offset: int, what: str) -> tuple[bytes, int]:
+        if len(view) - offset < _U32.size:
+            raise TransportProtocolError(f"truncated HELLO {what}")
+        (length,) = _U32.unpack_from(view, offset)
+        start = offset + _U32.size
+        if len(view) - start < length:
+            raise TransportProtocolError(f"truncated HELLO {what}")
+        return bytes(view[start:start + length]), start + length
+
+    ident, offset = section(0, "identity")
+    identity = _loads(ident, what="HELLO identity")
+    state, offset = section(offset, "snapshot")
     try:
-        trace, snapshot = pickle.loads(payload[4 + ident_len:])
-    except Exception as exc:
+        snapshot = (
+            None if state == b"null" else VmSnapshot.from_json(state)
+        )
+        trace = _decode_trace(bytes(view[offset:]))
+    except SeedFormatError as exc:
         raise TransportProtocolError(
-            f"undecodable HELLO context: {exc!r}"
+            f"undecodable HELLO context: {exc}"
         ) from exc
     return (
         {str(k): str(v) for k, v in identity.items()},
@@ -473,9 +368,9 @@ def encode_hello_ack(worker_pid: int) -> bytes:
 
 def decode_hello_ack(payload: bytes) -> int:
     data = _loads(payload, what="HELLO_ACK")
-    try:
-        return int(data["worker_pid"])
-    except (KeyError, TypeError, ValueError) as exc:
+    pid = data.get("worker_pid")
+    if type(pid) is not int:
         raise TransportProtocolError(
-            f"malformed HELLO_ACK payload: {exc!r}"
-        ) from exc
+            f"malformed HELLO_ACK payload: worker_pid {pid!r}"
+        )
+    return pid

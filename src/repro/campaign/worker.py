@@ -2,10 +2,11 @@
 
 One worker process serves shard tasks over the wire protocol
 (:mod:`repro.campaign.wire`).  A controller connects, primes the
-session with a HELLO (campaign identity + pickled trace/snapshot),
-then streams TASK frames; the worker runs each shard through the same
-hermetic :func:`repro.fuzz.parallel._execute_task` path the local pool
-uses — which is the whole point: a shard's outcome is a pure function
+session with a HELLO (campaign identity, snapshot JSON and the trace
+as ``IRISTRC2`` bytes), then streams TASK frames; the worker runs each
+shard through the same hermetic
+:func:`repro.fuzz.parallel._execute_task` path the local pool uses —
+which is the whole point: a shard's outcome is a pure function
 of the task plus the primed context, so *where* it runs is invisible
 in the merged campaign.
 
@@ -14,19 +15,9 @@ controller can tell a slow shard from a dead worker.  Worker-side
 failures never travel as exceptions: ``_execute_task`` converts them
 into error outcomes, exactly as on the local pool's stats channel.
 
-Chaos hooks (tests only)
-------------------------
-
-``--chaos KIND:N`` sabotages the worker for the fault-injection suite:
-
-* ``die-after-results:N`` — hard-exit the process (``os._exit``) right
-  after the N-th RESULT frame, simulating a worker killed mid-wave.
-  Honored only when the server is allowed to exit (the CLI path);
-  an in-thread test server refuses it at construction.
-* ``drop-mid-result:N`` — send only half of the N-th RESULT frame and
-  sever the connection, simulating a link dying mid-frame.  Fires
-  once; the server keeps accepting, so the controller's reconnect
-  path can prove the shard is re-run (not double-merged).
+The worker accepts campaign data only: every frame goes through the
+strict decoders of :mod:`repro.campaign.wire`, and a peer that sends
+anything else loses its own connection, nothing more.
 """
 
 from __future__ import annotations
@@ -36,46 +27,12 @@ import os
 import socket
 import sys
 import threading
-from dataclasses import dataclass
 
 from repro.campaign import wire
 from repro.core.seed import Trace
 from repro.core.snapshot import VmSnapshot
 from repro.errors import TransportProtocolError
 from repro.fuzz.parallel import ShardOutcome, ShardTask, _execute_task
-
-_CHAOS_KINDS = ("die-after-results", "drop-mid-result")
-
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """Parsed ``KIND:N`` sabotage instruction."""
-
-    kind: str
-    threshold: int
-
-    @classmethod
-    def parse(cls, spec: str) -> "ChaosSpec":
-        kind, sep, count_text = spec.partition(":")
-        if not sep or kind not in _CHAOS_KINDS:
-            raise ValueError(
-                f"chaos spec {spec!r} is not KIND:N with KIND in "
-                f"{_CHAOS_KINDS}"
-            )
-        try:
-            threshold = int(count_text)
-        except ValueError:
-            raise ValueError(
-                f"chaos spec {spec!r} has a non-numeric count"
-            ) from None
-        if threshold < 1:
-            raise ValueError("chaos count must be >= 1")
-        return cls(kind=kind, threshold=threshold)
-
-
-class _DropConnection(Exception):
-    """Internal: the chaos hook severed this connection on purpose."""
-
 
 class WorkerServer:
     """Serve shard tasks to any number of controller connections.
@@ -105,30 +62,14 @@ class WorkerServer:
         port: int = 0,
         *,
         heartbeat_interval: float = 0.5,
-        chaos: ChaosSpec | None = None,
-        allow_exit: bool = False,
     ) -> None:
-        if (
-            chaos is not None
-            and chaos.kind == "die-after-results"
-            and not allow_exit
-        ):
-            raise ValueError(
-                "die-after-results chaos hard-exits the process; it "
-                "is only valid for a dedicated iris-worker process "
-                "(allow_exit=True), never an in-process server"
-            )
         self.host = host
         self.port = port
         self.heartbeat_interval = heartbeat_interval
-        self.chaos = chaos
-        self._allow_exit = allow_exit
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stopping = False
         self._lock = threading.Lock()
-        self._results_sent = 0
-        self._chaos_fired = False
         self._connections: set[socket.socket] = set()
         #: Ledger of every shard this server ran, as
         #: ``(cell_index, shard_index, attempt)`` in execution order.
@@ -220,9 +161,9 @@ class WorkerServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
             self._session(conn)
-        except (TransportProtocolError, _DropConnection, OSError):
-            # A broken peer (or our own chaos hook) only costs this
-            # connection; the accept loop keeps serving.
+        except (TransportProtocolError, OSError):
+            # A broken peer only costs this connection; the accept
+            # loop keeps serving.
             pass
         finally:
             with self._lock:
@@ -310,30 +251,9 @@ class WorkerServer:
     def _send_result(
         self, conn: socket.socket, outcome: ShardOutcome
     ) -> None:
-        payload = wire.encode_outcome(outcome)
-        with self._lock:
-            self._results_sent += 1
-            ordinal = self._results_sent
-        chaos = self.chaos
-        if (
-            chaos is not None
-            and chaos.kind == "drop-mid-result"
-            and ordinal == chaos.threshold
-            and not self._chaos_fired
-        ):
-            self._chaos_fired = True
-            frame = wire.encode_frame(wire.FrameKind.RESULT, payload)
-            conn.sendall(frame[: max(len(frame) // 2, 1)])
-            raise _DropConnection()
-        wire.send_frame(conn, wire.FrameKind.RESULT, payload)
-        if (
-            chaos is not None
-            and chaos.kind == "die-after-results"
-            and ordinal >= chaos.threshold
-        ):
-            # A real kill, not an exception: nothing gets to flush,
-            # close, or wave goodbye — the controller must cope.
-            os._exit(17)
+        wire.send_frame(
+            conn, wire.FrameKind.RESULT, wire.encode_outcome(outcome)
+        )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -359,19 +279,11 @@ def main(argv: list[str] | None = None) -> int:
         help="pace of liveness frames while a shard runs "
              "(default: %(default)s)",
     )
-    parser.add_argument(
-        "--chaos", type=ChaosSpec.parse, default=None,
-        metavar="KIND:N",
-        help="fault-injection hook for the transport test suite: "
-             "die-after-results:N or drop-mid-result:N",
-    )
     args = parser.parse_args(argv)
     server = WorkerServer(
         host=args.host,
         port=args.port,
         heartbeat_interval=args.heartbeat_interval,
-        chaos=args.chaos,
-        allow_exit=True,
     )
     server.start()
     # The one line a launcher needs: the assigned address.

@@ -7,17 +7,28 @@ contents, the vCPU's architectural registers and MSRs, the hypervisor's
 cached abstractions, virtual-device state — and only optionally guest
 memory: IRIS deliberately does not carry guest memory into replay
 (§IV-A), which is what the memory-seed ablation flips.
+
+A snapshot that leaves the process travels as canonical JSON through
+:meth:`VmSnapshot.to_json` / :meth:`VmSnapshot.from_json`, a codec
+declared field by field (``_SNAPSHOT_SCHEMA``) rather than derived from
+the live object graph, so a decoder can only ever build the types
+declared here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
+from typing import Any
 
 from repro.arch.fields import ArchField
+from repro.core.jsoncodec import JsonCodec
+from repro.errors import SeedFormatError
 from repro.hypervisor.domain import Domain
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.vcpu import HvmVcpuState, Vcpu
 from repro.x86.cpumodes import OperatingMode
+from repro.x86.registers import GPR
 
 
 @dataclass
@@ -44,6 +55,62 @@ class VmSnapshot:
     memory_pages: dict[int, bytes] | None = None
     ept_gfns: tuple[int, ...] = ()
     clock_tsc: int = 0
+
+    def to_json(self) -> str:
+        """Canonical JSON (sorted keys, no whitespace variance)."""
+        return json.dumps(
+            _CODEC.encode(_SNAPSHOT_SCHEMA, self.__dict__),
+            sort_keys=True, separators=(",", ":"),
+        )
+
+    @classmethod
+    def from_json(cls, text: str | bytes) -> "VmSnapshot":
+        """Inverse of :meth:`to_json`; raises only
+        :class:`SeedFormatError`, whatever the input."""
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise SeedFormatError(
+                f"undecodable snapshot JSON: {exc}"
+            ) from exc
+        return cls(**_CODEC.decode(_SNAPSHOT_SCHEMA, payload))
+
+
+#: The snapshot codec: every :class:`VmSnapshot` field, and the
+#: ``snapshot()`` layouts of the device state it carries (vCPU HVM
+#: state, vLAPIC, platform timer, IRQ controller), as
+#: :mod:`repro.core.jsoncodec` schemas.
+_SNAPSHOT_SCHEMA: dict[str, Any] = {
+    "vmcs_fields": dict[ArchField, int],
+    "launch_state": str,
+    "gprs": dict[GPR, int],
+    **dict.fromkeys(("rip", "rsp", "rflags", "cr0", "cr2", "cr3", "cr4"),
+                    int),
+    "msr_values": dict[int, int],
+    "hvm": dict.fromkeys(
+        ("guest_mode", "hw_cr0", "hw_cr4", "guest_cr3", "exit_count"),
+        int,
+    ),
+    "vlapic": {
+        "base": int, "enabled": bool, "regs": dict[int, int],
+        "irr": list[int], "period": int, "next_timer_due": int,
+        "timer_fires": int,
+    },
+    "vpt": {
+        "period": int, "next_due": int, "pending_ticks": int,
+        "fires": int, "channels": dict[int, int],
+        "latch": dict[int, int | None],
+    },
+    "irq": {
+        "pic_regs": dict[int, int], "asserted": list[int],
+        "assert_count": int,
+    },
+    "memory_pages": dict[int, bytes] | None,
+    "ept_gfns": tuple[int, ...],
+    "clock_tsc": int,
+}
+
+_CODEC = JsonCodec()
 
 
 def _mark_clean(hv: Hypervisor, domain: Domain, vcpu: Vcpu) -> None:

@@ -68,7 +68,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # circular at runtime: transport imports this module
     from repro.campaign.transport import WorkerTransport
@@ -137,9 +137,6 @@ class ShardTask:
     #: Part of the task (not ambient state) so the determinism contract
     #: covers it: the merged result is a function of the arch too.
     arch: str = "vmx"
-    #: Fault-injection hook (tests / chaos drills): ``"raise"`` makes
-    #: the worker raise, ``"hang"`` makes it sleep past any timeout.
-    fault_kind: str | None = None
     #: Capture a hermetic per-shard :class:`MetricsSnapshot` (a fresh
     #: wall-clock-free registry installed around the shard, so the
     #: snapshot is a pure function of the task — mergeable across any
@@ -336,10 +333,6 @@ class WaveOutcome:
 
 # ---- worker side ------------------------------------------------------
 
-class InjectedWorkerFault(RuntimeError):
-    """Raised by the fault-injection hook to simulate a worker death."""
-
-
 def run_shard(
     task: ShardTask, trace: Trace, snapshot: VmSnapshot | None
 ) -> FuzzResult:
@@ -389,13 +382,6 @@ def _execute_task(
 
     start = time.perf_counter()
     try:
-        if task.fault_kind == "raise":
-            raise InjectedWorkerFault(
-                f"injected fault: cell {task.cell_index} shard "
-                f"{task.shard_index} attempt {task.attempt}"
-            )
-        if task.fault_kind == "hang":
-            time.sleep(3600)
         metrics_snapshot = None
         if task.collect_metrics:
             # Hermetic capture: a fresh wall-clock-free registry (and a
@@ -468,7 +454,6 @@ class ParallelCampaign:
         shards_per_cell: int = 1,
         shard_timeout: float | None = None,
         on_event: Callable[[object], None] | None = None,
-        fault_plan: Mapping[int, tuple[str, int]] | None = None,
         arch: str = "vmx",
         collect_metrics: bool = False,
         differential: bool = False,
@@ -505,9 +490,6 @@ class ParallelCampaign:
         self.shards_per_cell = shards_per_cell
         self.shard_timeout = shard_timeout
         self.on_event = on_event
-        #: cell_index -> (fault kind, number of attempts to sabotage);
-        #: the chaos hook the fault-isolation tests drive.
-        self.fault_plan = dict(fault_plan or {})
         self.collect_metrics = collect_metrics
         #: Where shards run.  ``None`` means the default local warm
         #: pool, created lazily by the first wave; an explicit
@@ -536,18 +518,11 @@ class ParallelCampaign:
                     rng_seed=derive_shard_seed(
                         self.campaign_seed, cell_index, shard_index
                     ),
-                    fault_kind=self._fault_for(cell_index, attempt=0),
                     arch=self.arch,
                     collect_metrics=self.collect_metrics,
                     differential=self.differential,
                 ))
         return tasks
-
-    def _fault_for(self, cell_index: int, attempt: int) -> str | None:
-        kind, bad_attempts = self.fault_plan.get(
-            cell_index, (None, 0)
-        )
-        return kind if attempt < bad_attempts else None
 
     # -- execution -----------------------------------------------------
 
@@ -616,11 +591,7 @@ class ParallelCampaign:
             self._transport.close()
 
     def _retry_task(self, task: ShardTask) -> ShardTask:
-        attempt = task.attempt + 1
-        return dataclasses.replace(
-            task, attempt=attempt,
-            fault_kind=self._fault_for(task.cell_index, attempt),
-        )
+        return dataclasses.replace(task, attempt=task.attempt + 1)
 
     # -- transport plumbing -------------------------------------------
 

@@ -361,18 +361,6 @@ class CoverageMap:
                 out._bits[out._intern(file)] = bits
         return out
 
-    # -- pickling (per-map intern tables travel whole) -----------------
-
-    def __getstate__(self) -> dict[str, int]:
-        return self._bitmaps()
-
-    def __setstate__(self, state: dict[str, int]) -> None:
-        self._ids = {}
-        self._files = []
-        self._bits = []
-        for file, bits in state.items():
-            self._bits[self._intern(file)] = bits
-
     # -- dunders -------------------------------------------------------
 
     def __contains__(self, line: tuple[str, int]) -> bool:

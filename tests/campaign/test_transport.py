@@ -6,11 +6,13 @@ never of *where* shards ran.  Local pool (jobs 1 and 4) and socket
 transport (in-thread and subprocess ``iris-worker`` processes, healthy
 and sabotaged) must all land on identical bytes.
 
-Fault injection covers the ISSUE's two named scenarios: a worker
-killed mid-wave (``--chaos die-after-results``) and a connection
-dropped mid-frame (``drop-mid-result``) — in both, the in-flight shard
-is reassigned exactly once, never lost and never double-merged, and a
-``--resume`` after an interruption stays exact.
+Fault injection covers two scenarios, each staged by a test double
+rather than a hook in the worker: a worker process killed mid-wave (a
+launcher that hard-exits after its first RESULT) and a connection
+dropped mid-frame (a ``WorkerServer`` subclass that sends half a
+RESULT) — in both, the in-flight shard is reassigned exactly once,
+never lost and never double-merged, and a ``--resume`` after an
+interruption stays exact.
 
 Every server here binds port 0 and plumbs the *assigned* port through
 the fixtures, so the suite cannot flake on a busy port.
@@ -35,7 +37,6 @@ from repro.campaign import (
     CampaignController,
     CampaignInterrupted,
     CampaignStore,
-    ChaosSpec,
     SocketTransport,
     TransportContext,
     WorkerServer,
@@ -43,6 +44,7 @@ from repro.campaign import (
     wire,
 )
 from repro.core.manager import IrisManager
+from repro.core.tracestore import TraceReader
 from repro.fuzz.mutations import MutationArea
 from repro.fuzz.parallel import ParallelCampaign, ShardTask
 from repro.fuzz.testcase import plan_test_cases
@@ -264,21 +266,82 @@ def test_differential_over_socket_matches_local_bytes(
     assert transport.stats.reassignments == 0
 
 
+def test_spooled_trace_over_socket_matches_local(tmp_path, servers):
+    """A campaign over the lazy reader that ``record_workload(
+    spool_to=...)`` returns runs over the socket transport — the
+    reader's file bytes travel as the HELLO trace — and lands on the
+    local pool's results and store bytes."""
+    session = IrisManager().record_workload(
+        "cpu-bound", n_exits=N_EXITS, precondition="boot",
+        spool_to=tmp_path / "spooled.iris",
+    )
+    assert isinstance(session.trace, TraceReader)
+    recordings = {"vmx": session}
+    planned = {"vmx": plan_test_cases(
+        session.trace, [ExitReason.RDTSC, ExitReason.CPUID],
+        n_mutations=N_MUTATIONS, rng=random.Random(5),
+    )}
+
+    def run(name, transport=None):
+        db = str(tmp_path / f"{name}.db")
+        engine = make_engine(
+            recordings, planned, "vmx", transport=transport
+        )
+        with CampaignStore(db) as store:
+            result = CampaignController(
+                engine, store, wave_size=WAVE_SIZE
+            ).run()
+        return result, store_dump(db)
+
+    local, local_dump = run("local")
+    transport = SocketTransport(
+        [server.address for server in servers], backoff_base=0.01,
+    )
+    remote, remote_dump = run("socket", transport)
+    assert local.abandoned_cells == []
+    assert_identical(remote, local)
+    assert remote_dump == local_dump
+    assert transport.stats.reassignments == 0
+
+
 # ---- fault injection --------------------------------------------------
 
-def _spawn_worker(*extra: str):
+#: A launcher for a worker that hard-exits right after its first RESULT
+#: frame: a real kill, not an exception — nothing gets to flush, close
+#: or wave goodbye, so the controller must cope.
+_DIE_AFTER_FIRST_RESULT = """
+import os, sys
+from repro.campaign import worker
+
+send_result = worker.WorkerServer._send_result
+
+def send_then_die(self, conn, outcome):
+    send_result(self, conn, outcome)
+    os._exit(17)
+
+worker.WorkerServer._send_result = send_then_die
+sys.exit(worker.main(sys.argv[1:]))
+"""
+
+
+def _spawn_worker(launcher: str | None = None):
     """Start a real ``iris-worker`` process; returns (proc, address).
 
-    The worker binds port 0 and prints the assigned address on its
-    first stdout line — the only port plumbing a launcher needs.
+    ``launcher`` is Python source run in place of the module (it must
+    end by calling ``repro.campaign.worker.main``).  The worker binds
+    port 0 and prints the assigned address on its first stdout line —
+    the only port plumbing a launcher needs.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
+    entry = (
+        ["-m", "repro.campaign.worker"] if launcher is None
+        else ["-c", launcher]
+    )
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.campaign.worker",
-         "--heartbeat-interval", "0.2", *extra],
+        [sys.executable, *entry, "--heartbeat-interval", "0.2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env,
     )
@@ -298,9 +361,7 @@ def test_worker_killed_mid_wave_reassigns_exactly_once(
     """One of two subprocess workers hard-exits after its first
     result; its in-flight shard moves to the survivor exactly once and
     the campaign (and its store) stays byte-identical."""
-    doomed, doomed_addr = _spawn_worker(
-        "--chaos", "die-after-results:1"
-    )
+    doomed, doomed_addr = _spawn_worker(_DIE_AFTER_FIRST_RESULT)
     healthy, healthy_addr = _spawn_worker()
     db = str(tmp_path / "killed.db")
     try:
@@ -330,14 +391,36 @@ def test_worker_killed_mid_wave_reassigns_exactly_once(
     assert doomed.returncode == 17
 
 
+class _DropSecondResult(WorkerServer):
+    """Sends only half of its second RESULT frame, then severs the
+    link; it fires once and keeps accepting, so the controller's
+    reconnect path can prove the shard is re-run, not double-merged."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._results = 0
+
+    def _send_result(self, conn, outcome) -> None:
+        with self._lock:
+            self._results += 1
+            drop = self._results == 2
+        if not drop:
+            super()._send_result(conn, outcome)
+            return
+        frame = wire.encode_frame(
+            wire.FrameKind.RESULT, wire.encode_outcome(outcome)
+        )
+        conn.sendall(frame[: len(frame) // 2])
+        raise ConnectionAbortedError("dropped mid-RESULT")
+
+
 def test_connection_dropped_mid_frame_reruns_shard_once(
     recordings, cases, local_refs
 ):
     """A worker sends half of a RESULT frame and severs the link.  The
     controller reconnects, the shard reruns exactly once (the ledger
     proves it), and the merged output is still reference-identical."""
-    chaos = ChaosSpec.parse("drop-mid-result:2")
-    with WorkerServer(heartbeat_interval=0.2, chaos=chaos) as server:
+    with _DropSecondResult(heartbeat_interval=0.2) as server:
         transport = SocketTransport(
             [server.address], backoff_base=0.01,
         )
@@ -432,7 +515,7 @@ _STALL_TASK = ShardTask(
     cell_index=0, shard_index=0, seed_index=0,
     area=MutationArea.VMCS, n_mutations=1,
     mutation_rule="bit-flip", rng_seed=1, attempt=0,
-    arch="vmx", fault_kind=None, collect_metrics=False,
+    arch="vmx", collect_metrics=False,
 )
 
 
@@ -491,7 +574,7 @@ def test_missed_heartbeats_declare_the_worker_dead(recordings):
     transport.close()
 
 
-# ---- addressing and chaos plumbing ------------------------------------
+# ---- addressing -------------------------------------------------------
 
 class TestAddressing:
     def test_parse_round_trip(self):
@@ -536,21 +619,3 @@ class TestAddressing:
             assert not thread.is_alive()
         finally:
             client.close()
-
-
-class TestChaosSpec:
-    def test_parse(self):
-        spec = ChaosSpec.parse("drop-mid-result:3")
-        assert (spec.kind, spec.threshold) == ("drop-mid-result", 3)
-
-    @pytest.mark.parametrize(
-        "bad", ["die-after-results", "unknown:1", "drop-mid-result:x",
-                "drop-mid-result:0"],
-    )
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
-            ChaosSpec.parse(bad)
-
-    def test_hard_exit_chaos_refused_in_process(self):
-        with pytest.raises(ValueError, match="in-process"):
-            WorkerServer(chaos=ChaosSpec.parse("die-after-results:1"))

@@ -11,6 +11,7 @@ through :class:`CampaignController`, the one campaign execution path.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.campaign import (
 )
 from repro.core.manager import IrisManager
 from repro.core.seed import SeedEntry, VMSeed
+from repro.fuzz import parallel
 from repro.fuzz.failures import FailureKind, FailureRecord
 from repro.fuzz.fuzzer import MAX_FAILURES_KEPT, FuzzResult, IrisFuzzer
 from repro.fuzz.mutations import MutationArea
@@ -504,15 +506,48 @@ class TestDifferentialOracleMatrix:
 
 # ---- fault isolation -------------------------------------------------
 
+class InjectedWorkerFault(RuntimeError):
+    """Raised by the faulty shard double to simulate a worker death."""
+
+
+@pytest.fixture
+def inject_faults(monkeypatch):
+    """Install a faulty ``run_shard`` double for the test's campaigns.
+
+    ``plan`` maps a cell index to ``(kind, bad_attempts)``: the cell's
+    first ``bad_attempts`` attempts raise (``"raise"``) or sleep past
+    any timeout (``"hang"``); later attempts run the real shard.  The
+    double replaces the module global the shard executor calls, so it
+    is installed before the local pool forks and every worker inherits
+    it.
+    """
+    real_run_shard = parallel.run_shard
+
+    def install(plan):
+        def faulty_run_shard(task, trace, snapshot):
+            kind, bad_attempts = plan.get(task.cell_index, (None, 0))
+            if task.attempt < bad_attempts:
+                if kind == "hang":
+                    time.sleep(3600)
+                raise InjectedWorkerFault(
+                    f"injected fault: cell {task.cell_index} shard "
+                    f"{task.shard_index} attempt {task.attempt}"
+                )
+            return real_run_shard(task, trace, snapshot)
+
+        monkeypatch.setattr(parallel, "run_shard", faulty_run_shard)
+
+    return install
+
+
 class TestFaultIsolation:
     def test_killed_worker_is_retried_exactly_once(
-        self, recorded, cases
+        self, recorded, cases, inject_faults
     ):
         events = []
+        inject_faults({1: ("raise", 1)})
         outcome = run_campaign(
-            recorded, cases, 2,
-            fault_plan={1: ("raise", 1)},
-            on_event=events.append,
+            recorded, cases, 2, on_event=events.append,
         )
         # The campaign completed: every cell present, none abandoned.
         assert len(outcome.results) == len(cases)
@@ -532,25 +567,24 @@ class TestFaultIsolation:
         assert not outcome.stats.healthy
 
     def test_retried_cell_result_matches_clean_run(
-        self, recorded, cases
+        self, recorded, cases, inject_faults
     ):
         """The retry reruns the shard with the same derived seed, so
         the recovered campaign is bit-identical to a fault-free one."""
         clean = run_campaign(recorded, cases, 2)
-        faulty = run_campaign(
-            recorded, cases, 2, fault_plan={1: ("raise", 1)},
-        )
+        inject_faults({1: ("raise", 1)})
+        faulty = run_campaign(recorded, cases, 2)
         assert faulty.results == clean.results
         assert faulty.merged_corpus() == clean.merged_corpus()
 
     def test_double_fault_abandons_cell_gracefully(
-        self, recorded, cases
+        self, recorded, cases, inject_faults
     ):
+        clean = run_campaign(recorded, cases, 2)
         events = []
+        inject_faults({0: ("raise", 2)})
         outcome = run_campaign(
-            recorded, cases, 2,
-            fault_plan={0: ("raise", 2)},
-            on_event=events.append,
+            recorded, cases, 2, on_event=events.append,
         )
         # Degrades instead of aborting: the other cells are intact.
         assert outcome.abandoned_cells == [0]
@@ -558,26 +592,23 @@ class TestFaultIsolation:
         assert len(outcome.stats.faults) == 2
         assert outcome.stats.shards[0].status == "failed"
         assert any(kind == "shard-abandoned" for kind, _ in events)
-        clean = run_campaign(recorded, cases, 2)
         assert outcome.results == clean.results[1:]
 
     def test_serial_mode_gets_the_same_fault_handling(
-        self, recorded, cases
+        self, recorded, cases, inject_faults
     ):
-        outcome = run_campaign(
-            recorded, cases, 1, fault_plan={2: ("raise", 1)},
-        )
+        inject_faults({2: ("raise", 1)})
+        outcome = run_campaign(recorded, cases, 1)
         assert outcome.abandoned_cells == []
         assert outcome.stats.shards[2].attempts == 2
         assert len(outcome.stats.faults) == 1
 
     def test_hung_worker_times_out_and_is_retried(
-        self, recorded, cases
+        self, recorded, cases, inject_faults
     ):
+        inject_faults({0: ("hang", 1)})
         outcome = run_campaign(
-            recorded, cases[:2], 2,
-            fault_plan={0: ("hang", 1)},
-            shard_timeout=1.0,
+            recorded, cases[:2], 2, shard_timeout=1.0,
         )
         assert outcome.abandoned_cells == []
         assert len(outcome.results) == 2
@@ -612,13 +643,14 @@ class TestPoolLifecycle:
         # Close is idempotent (the controller calls it once per run).
         transport.close()
 
-    def test_retry_runs_on_the_warm_pool(self, recorded, cases):
+    def test_retry_runs_on_the_warm_pool(
+        self, recorded, cases, inject_faults
+    ):
         """A raise-fault retry reuses the campaign's workers instead of
         paying for a fresh pool: the retried shard's pid is one of the
         pids the first wave already used."""
-        outcome = run_campaign(
-            recorded, cases, 2, fault_plan={1: ("raise", 1)},
-        )
+        inject_faults({1: ("raise", 1)})
+        outcome = run_campaign(recorded, cases, 2)
         assert outcome.abandoned_cells == []
         first_wave_pids = {
             s.worker_pid for s in outcome.stats.shards
@@ -629,23 +661,20 @@ class TestPoolLifecycle:
         assert retried.worker_pid in first_wave_pids
 
     def test_wave_deadline_is_absolute_not_per_shard(
-        self, recorded, cases
+        self, recorded, cases, inject_faults
     ):
         """Timeout-skew regression: with the old per-``get`` timeout, a
         wave of N hung shards took N x ``shard_timeout`` to drain
         (each collection restarted the clock).  The deadline is now
         fixed at wave submission, so even four simultaneous hangs
         resolve in ~one timeout."""
-        import time
-
         timeout = 1.0
         tasks = ParallelCampaign(
             recorded.trace, recorded.snapshot, cases,
             campaign_seed=CAMPAIGN_SEED,
-            fault_plan={cell: ("hang", 1) for cell in range(4)},
         ).plan()
         assert len(tasks) == 4
-        assert all(t.fault_kind == "hang" for t in tasks)
+        inject_faults({cell: ("hang", 1) for cell in range(4)})
         transport = local_pool(recorded, jobs=4, shard_timeout=timeout)
         started = time.monotonic()
         try:
